@@ -18,7 +18,11 @@
 //!   telemetry snapshots intact;
 //! * [`parallel_ii`] — Walker & Anderson-style per-II sweeps: candidate
 //!   IIs race concurrently instead of bottom-up, and a success at II
-//!   *k* cancels every job pinned to an II above *k*.
+//!   *k* cancels every job above *k*. It is one order of the II sweep
+//!   driver in [`crate::sweep`], which calls each mapper's `try_ii`
+//!   per II.
+
+pub use crate::sweep::parallel_ii;
 
 use crate::mapper::{MapConfig, MapError, Mapper};
 use crate::mapping::Mapping;
@@ -353,104 +357,6 @@ pub fn race(
         entries,
         wall_ms: start.elapsed().as_secs_f64() * 1e3,
     }
-}
-
-/// Race candidate IIs concurrently instead of bottom-up.
-///
-/// Each job pins the mapper to a single II (via `min_ii == max_ii`)
-/// under its own forked budget; a validated mapping at II *k* cancels
-/// every job pinned above *k*, and the smallest successful II wins.
-/// Spatial mappers (always II = 1) fall through to a plain call.
-pub fn parallel_ii(
-    mapper: &dyn Mapper,
-    dfg: &Dfg,
-    fabric: &Fabric,
-    cfg: &MapConfig,
-) -> Result<Mapping, MapError> {
-    if mapper.is_spatial() {
-        return mapper.map(dfg, fabric, cfg);
-    }
-    let mii = crate::mappers::ModuloList::mii(dfg, fabric);
-    let (lo, hi) = cfg.ii_range_for(dfg, mii, fabric)?;
-    if lo == hi {
-        return mapper.map(dfg, fabric, cfg);
-    }
-
-    let parent = cfg.budget.child(cfg.time_limit);
-    // One topology table shared by every per-II job.
-    let topo = cfg.topo_for(fabric);
-    let iis: Vec<u32> = (lo..=hi).collect();
-    // One individually cancellable budget per II job.
-    let budgets: Vec<Budget> = iis.iter().map(|_| parent.fork(cfg.time_limit)).collect();
-    let best: Mutex<Option<(u32, Mapping)>> = Mutex::new(None);
-    let best_ii = AtomicU32::new(u32::MAX);
-
-    let errors: Vec<Option<MapError>> = (0..iis.len())
-        .into_par_iter()
-        .map(|j| {
-            let ii = iis[j];
-            // Dominated before it started (a lower II already won, or
-            // the whole sweep was cancelled from outside).
-            if best_ii.load(Ordering::Acquire) <= ii || parent.is_cancelled() {
-                cfg.telemetry.bump(Counter::Cancellations);
-                return Some(MapError::Cancelled);
-            }
-            let mut job_cfg = cfg.clone();
-            job_cfg.min_ii = ii;
-            job_cfg.max_ii = ii;
-            job_cfg.budget = budgets[j].clone();
-            job_cfg.topo = Some(Arc::clone(&topo));
-            // No ledger emission here: the mapper itself journals its
-            // `ii_attempt`, exactly as in the sequential bottom-up
-            // sweep, so convergence views agree between the two paths.
-            match mapper.map(dfg, fabric, &job_cfg) {
-                Ok(m) => {
-                    if validate_with(&m, dfg, fabric, &topo).is_err() {
-                        return Some(MapError::infeasible(format!("INVALID OUTPUT at II {ii}")));
-                    }
-                    let mut b = best.lock().unwrap();
-                    if b.as_ref().is_none_or(|(bi, _)| ii < *bi) {
-                        *b = Some((ii, m));
-                        best_ii.fetch_min(ii, Ordering::AcqRel);
-                        cfg.telemetry.bump(Counter::Incumbents);
-                        cfg.ledger.incumbent(mapper.name(), ii, ii as f64);
-                        // Cancel every job chasing a worse II.
-                        for (k, budget) in budgets.iter().enumerate() {
-                            if iis[k] > ii {
-                                budget.cancel();
-                            }
-                        }
-                    }
-                    None
-                }
-                Err(e) => {
-                    // A job cancelled mid-search (a lower II validated
-                    // while it was running) counts like one skipped
-                    // before starting.
-                    if matches!(e, MapError::Cancelled) {
-                        cfg.telemetry.bump(Counter::Cancellations);
-                    }
-                    Some(e)
-                }
-            }
-        })
-        .collect();
-
-    if let Some((_, m)) = best.into_inner().unwrap() {
-        return Ok(m);
-    }
-    // No II succeeded: report a timeout/cancellation if any job hit
-    // one, otherwise infeasibility over the whole range.
-    if parent.is_cancelled() {
-        return Err(MapError::Cancelled);
-    }
-    if errors.iter().any(|e| matches!(e, Some(MapError::Timeout))) || parent.expired_now() {
-        cfg.ledger.budget_exhausted(mapper.name());
-        return Err(MapError::Timeout);
-    }
-    Err(MapError::infeasible(format!(
-        "no II in {lo}..={hi} admits a schedule"
-    )))
 }
 
 #[cfg(test)]

@@ -6,10 +6,11 @@
 //! happened when". SAT-MapIt and the connectivity-ILP mapper both
 //! report per-instance solve trajectories as first-class results; the
 //! ledger is the substrate for those trajectories here. Events are
-//! written by the engine's [`crate::engine::race`] /
-//! [`crate::engine::parallel_ii`] and by the improving-move paths of
-//! the meta-heuristic (SA/GA/QEA) and exact (B&B, SAT/CP/ILP incumbent
-//! callbacks) mappers, and serialised three ways: the versioned
+//! written by the engine's [`crate::engine::race`], by the II sweep
+//! driver ([`crate::sweep`]: II probes, per-II successes, budget
+//! exhaustion) and by the improving-move paths of the meta-heuristic
+//! (SA/GA/QEA) and exact (SAT/CP/ILP incumbent callbacks) mappers, and
+//! serialised three ways: the versioned
 //! [`crate::report::RunReport`] artifact, Chrome `trace_event` JSON
 //! (`cgra-map --chrome-trace`), and the `--trace` JSONL stream.
 //!

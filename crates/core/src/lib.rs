@@ -52,6 +52,7 @@ pub mod route;
 pub mod servemetrics;
 pub mod service;
 pub mod streaming;
+pub mod sweep;
 pub mod telemetry;
 pub mod validate;
 
@@ -77,6 +78,7 @@ pub use request::{
 };
 pub use servemetrics::{render_prometheus, AccessLog, AccessRecord, ServiceMetrics};
 pub use service::{MapService, ResultCache, ServiceOptions, ServiceStats};
+pub use sweep::{SweepCtx, TemporalMapper};
 pub use telemetry::{
     AtomicHistogram, Counter, Histogram, Phase, SearchStats, SpanRecord, StatsSnapshot, Telemetry,
     HISTOGRAM_BUCKETS,

@@ -4,6 +4,7 @@ use crate::diagnosis::Diagnosis;
 use crate::engine::Budget;
 use crate::ledger::Ledger;
 use crate::mapping::Mapping;
+use crate::sweep::TemporalMapper;
 use crate::telemetry::Telemetry;
 use cgra_arch::{Fabric, TopologyCache};
 use cgra_ir::Dfg;
@@ -49,8 +50,7 @@ impl Family {
 pub struct MapConfig {
     /// Search IIs from `max(MII, min_ii)` up to this bound (inclusive).
     pub max_ii: u32,
-    /// Floor on the II search (default 1). The parallel-II engine pins
-    /// a job to a single II by setting `min_ii == max_ii`.
+    /// Floor on the II search (default 1).
     pub min_ii: u32,
     /// Cap on the schedule horizon, as a multiple of the critical path.
     pub horizon_factor: u32,
@@ -78,8 +78,8 @@ pub struct MapConfig {
     /// Optional shared topology cache. `None` by default; mappers
     /// obtain their per-run cache via [`MapConfig::topo_for`], which
     /// reuses this one when it matches the fabric and builds a private
-    /// one otherwise. The racing and parallel-II engines pre-seed it so
-    /// every concurrent attempt shares a single table.
+    /// one otherwise. The racing engine pre-seeds it so every
+    /// concurrent job shares a single table.
     pub topo: Option<Arc<TopologyCache>>,
     /// Let exact mappers reuse solver state between candidate IIs
     /// (assumption-based SAT, warm LP bases). On by default; switch off
@@ -155,7 +155,7 @@ impl MapConfig {
     }
 
     /// The II range a temporal mapper must search, given the kernel's
-    /// MII — the shared guard of every II loop. `Err` when the fabric
+    /// MII — the entry guard of the II sweep driver. `Err` when the fabric
     /// lacks a required resource class (`mii == u32::MAX`) or the range
     /// is empty under `max_ii`/`context_depth`/`min_ii`.
     pub fn ii_range(&self, mii: u32, fabric: &Fabric) -> Result<(u32, u32), MapError> {
@@ -177,8 +177,7 @@ impl MapConfig {
     /// [`MapConfig::ii_range`] plus failure forensics: when the range
     /// is empty (or a required resource class is absent) and
     /// [`MapConfig::explain`] is on, the error carries the analytic
-    /// MII-bound [`Diagnosis`] naming the binding resource class. The
-    /// shared entry guard of every temporal mapper's II loop.
+    /// MII-bound [`Diagnosis`] naming the binding resource class.
     pub fn ii_range_for(
         &self,
         dfg: &Dfg,
@@ -454,8 +453,24 @@ pub trait Mapper: Send + Sync {
         false
     }
 
-    /// Map `dfg` onto `fabric`.
-    fn map(&self, dfg: &Dfg, fabric: &Fabric, cfg: &MapConfig) -> Result<Mapping, MapError>;
+    /// The mapper's II-sweep step, for temporal mappers that implement
+    /// [`TemporalMapper`] (they return `Some(self)`).
+    fn temporal(&self) -> Option<&dyn TemporalMapper> {
+        None
+    }
+
+    /// Map `dfg` onto `fabric`. Temporal mappers inherit this: the
+    /// bottom-up (or binary) II sweep of [`crate::sweep`] over their
+    /// [`TemporalMapper::try_ii`].
+    fn map(&self, dfg: &Dfg, fabric: &Fabric, cfg: &MapConfig) -> Result<Mapping, MapError> {
+        match self.temporal() {
+            Some(t) => crate::sweep::sweep(t, dfg, fabric, cfg, false),
+            None => Err(MapError::Unsupported(format!(
+                "{} implements neither map nor try_ii",
+                self.name()
+            ))),
+        }
+    }
 }
 
 #[cfg(test)]

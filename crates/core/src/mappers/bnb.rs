@@ -10,14 +10,13 @@
 //! "stochastic pruning of partial solutions" knob that makes the
 //! approach scale).
 
-use super::state::SchedState;
+use super::state::{height_order, SchedState};
 use crate::engine::Budget;
-use crate::ledger::Ledger;
-use crate::mapper::{Family, MapConfig, MapError, Mapper};
+use crate::mapper::{Family, MapError, Mapper};
 use crate::mapping::Mapping;
-use crate::telemetry::{Counter, Phase, Telemetry};
-use cgra_arch::{Fabric, TopologyCache};
-use cgra_ir::{graph, Dfg, NodeId, OpKind};
+use crate::sweep::{SweepCtx, TemporalMapper};
+use crate::telemetry::Counter;
+use cgra_ir::NodeId;
 
 /// The branch-and-bound mapper.
 #[derive(Debug, Clone)]
@@ -90,50 +89,6 @@ impl<'a> Bb<'a> {
     }
 }
 
-impl BranchAndBound {
-    #[allow(clippy::too_many_arguments)]
-    fn try_ii(
-        &self,
-        dfg: &Dfg,
-        fabric: &Fabric,
-        ii: u32,
-        topo: &TopologyCache,
-        budget: &Budget,
-        tele: &Telemetry,
-        ledger: &Ledger,
-    ) -> Option<Mapping> {
-        tele.bump(Counter::IiAttempts);
-        ledger.ii_attempt("bnb", ii);
-        let _span = tele.span_ii(Phase::Map, ii);
-        let lat = |op: OpKind| fabric.latency_of(op);
-        let height = graph::height(dfg, &lat);
-        let mut order: Vec<NodeId> = dfg.topo_order().ok()?;
-        order.sort_by_key(|n| std::cmp::Reverse(height[n.index()]));
-        let mut bb = Bb {
-            order,
-            nodes: 0,
-            node_budget: self.node_budget,
-            wall: budget,
-            beam: self.beam,
-            window_iis: self.window_iis,
-            state: SchedState::new(dfg, fabric, ii, topo, tele.clone()),
-        };
-        if bb.dfs(0) {
-            let nodes = bb.nodes;
-            let m = bb.state.into_mapping();
-            if m.is_some() {
-                // B&B's first full schedule at this II is its (only)
-                // incumbent; the cost is the node count spent reaching it.
-                tele.bump(Counter::Incumbents);
-                ledger.incumbent("bnb", ii, nodes as f64);
-            }
-            m
-        } else {
-            None
-        }
-    }
-}
-
 impl Mapper for BranchAndBound {
     fn name(&self) -> &'static str {
         "bnb"
@@ -143,34 +98,38 @@ impl Mapper for BranchAndBound {
         Family::ExactIlp
     }
 
-    fn map(&self, dfg: &Dfg, fabric: &Fabric, cfg: &MapConfig) -> Result<Mapping, MapError> {
-        dfg.validate()
-            .map_err(|e| MapError::Unsupported(e.to_string()))?;
-        let mii = super::ModuloList::mii(dfg, fabric);
-        let (min_ii, max_ii) = cfg.ii_range_for(dfg, mii, fabric)?;
-        let topo = cfg.topo_for(fabric);
-        let budget = cfg.run_budget();
-        for ii in min_ii..=max_ii {
-            if let Some(m) =
-                self.try_ii(dfg, fabric, ii, &topo, &budget, &cfg.telemetry, &cfg.ledger)
-            {
-                return Ok(m);
-            }
-            if budget.expired_now() {
-                return Err(budget.error());
-            }
+    fn temporal(&self) -> Option<&dyn TemporalMapper> {
+        Some(self)
+    }
+}
+
+impl TemporalMapper for BranchAndBound {
+    fn try_ii(&self, ctx: &SweepCtx<'_>, ii: u32) -> Result<Option<Mapping>, MapError> {
+        let Some(order) = height_order(ctx.dfg, ctx.fabric) else {
+            return Ok(None);
+        };
+        let mut bb = Bb {
+            order,
+            nodes: 0,
+            node_budget: self.node_budget,
+            wall: &ctx.budget,
+            beam: self.beam,
+            window_iis: self.window_iis,
+            state: SchedState::new(ctx.dfg, ctx.fabric, ii, &ctx.topo, ctx.telemetry.clone()),
+        };
+        if !bb.dfs(0) {
+            return Ok(None);
         }
-        Err(MapError::infeasible(format!(
-            "search exhausted for II {min_ii}..={max_ii}"
-        )))
+        Ok(bb.state.into_mapping())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mapper::MapConfig;
     use crate::validate::validate;
-    use cgra_arch::Topology;
+    use cgra_arch::{Fabric, Topology};
     use cgra_ir::kernels;
 
     #[test]

@@ -8,15 +8,14 @@
 //! CEGAR loop blocks placements the router cannot realise.
 
 use super::exact_common::{add_solver_stats, edge_compatible, realise, PositionSpace, SweepSpace};
-use crate::engine::Budget;
-use crate::ledger::Ledger;
-use crate::mapper::{Family, MapConfig, MapError, Mapper};
+use crate::mapper::{Family, MapError, Mapper};
 use crate::mapping::Mapping;
-use crate::telemetry::{Counter, Phase, Telemetry};
-use cgra_arch::{Fabric, PeId, TopologyCache};
-use cgra_ir::Dfg;
+use crate::sweep::{SweepCtx, TemporalMapper};
+use crate::telemetry::Counter;
+use cgra_arch::PeId;
 use cgra_solver::cp::CpConfig;
 use cgra_solver::{CpModel, CpSolution, CpVar};
+use std::any::Any;
 use std::sync::Arc;
 
 /// The CP mapper.
@@ -37,22 +36,45 @@ impl Default for CpMapper {
     }
 }
 
-impl CpMapper {
-    #[allow(clippy::too_many_arguments)]
-    fn try_ii(
-        &self,
-        dfg: &Dfg,
-        fabric: &Fabric,
-        ii: u32,
-        space: &PositionSpace,
-        topo: &Arc<TopologyCache>,
-        budget: &Budget,
-        tele: &Telemetry,
-        ledger: &Ledger,
-    ) -> Result<Option<Mapping>, MapError> {
-        tele.bump(Counter::IiAttempts);
-        ledger.ii_attempt("cp", ii);
-        let _span = tele.span_ii(Phase::Map, ii);
+impl Mapper for CpMapper {
+    fn name(&self) -> &'static str {
+        "cp"
+    }
+
+    fn family(&self) -> Family {
+        Family::ExactCsp
+    }
+
+    fn temporal(&self) -> Option<&dyn TemporalMapper> {
+        Some(self)
+    }
+}
+
+impl TemporalMapper for CpMapper {
+    /// Incremental sweeps build the union space once and view each II's
+    /// lists out of it, so the II-independent structural work (ASAP
+    /// levels, capability filtering, window sorting) is not redone per
+    /// II.
+    fn prepare(&self, ctx: &SweepCtx<'_>) -> Option<Box<dyn Any + Send + Sync>> {
+        let iis: Vec<u32> = (ctx.lo..=ctx.hi).collect();
+        ctx.cfg.incremental.then(|| {
+            Box::new(SweepSpace::build(
+                ctx.dfg,
+                ctx.fabric,
+                &iis,
+                self.window_iis,
+                self.position_cap,
+            )) as Box<dyn Any + Send + Sync>
+        })
+    }
+
+    fn try_ii(&self, ctx: &SweepCtx<'_>, ii: u32) -> Result<Option<Mapping>, MapError> {
+        let (dfg, fabric, topo, budget, tele) =
+            (ctx.dfg, ctx.fabric, &ctx.topo, &ctx.budget, ctx.telemetry);
+        let space = match ctx.state::<SweepSpace>() {
+            Some(sweep) => sweep.per_ii((ii - ctx.lo) as usize),
+            None => PositionSpace::build(dfg, fabric, ii, self.window_iis, self.position_cap),
+        };
         let mut blocked: Vec<Vec<(PeId, u32)>> = Vec::new();
 
         for round in 0..self.cegar_rounds.max(1) {
@@ -141,7 +163,7 @@ impl CpMapper {
                     // Each model is an anytime incumbent placement;
                     // cost = CEGAR rounds spent reaching it.
                     tele.bump(Counter::Incumbents);
-                    ledger.incumbent("cp", ii, round as f64);
+                    ctx.ledger.incumbent("cp", ii, round as f64);
                     let chosen: Vec<(PeId, u32)> = values
                         .iter()
                         .enumerate()
@@ -158,61 +180,12 @@ impl CpMapper {
     }
 }
 
-impl Mapper for CpMapper {
-    fn name(&self) -> &'static str {
-        "cp"
-    }
-
-    fn family(&self) -> Family {
-        Family::ExactCsp
-    }
-
-    fn map(&self, dfg: &Dfg, fabric: &Fabric, cfg: &MapConfig) -> Result<Mapping, MapError> {
-        dfg.validate()
-            .map_err(|e| MapError::Unsupported(e.to_string()))?;
-        let mii = super::ModuloList::mii(dfg, fabric);
-        let (min_ii, max_ii) = cfg.ii_range_for(dfg, mii, fabric)?;
-        let topo = cfg.topo_for(fabric);
-        let budget = cfg.run_budget();
-        // Incremental sweeps build the union space once and view each
-        // II's lists out of it, so the II-independent structural work
-        // (ASAP levels, capability filtering, window sorting) is not
-        // redone per II.
-        let iis: Vec<u32> = (min_ii..=max_ii).collect();
-        let sweep = cfg
-            .incremental
-            .then(|| SweepSpace::build(dfg, fabric, &iis, self.window_iis, self.position_cap));
-        for (k, &ii) in iis.iter().enumerate() {
-            let space = match &sweep {
-                Some(s) => s.per_ii(k),
-                None => PositionSpace::build(dfg, fabric, ii, self.window_iis, self.position_cap),
-            };
-            match self.try_ii(
-                dfg,
-                fabric,
-                ii,
-                &space,
-                &topo,
-                &budget,
-                &cfg.telemetry,
-                &cfg.ledger,
-            ) {
-                Ok(Some(m)) => return Ok(m),
-                Ok(None) => {}
-                Err(e) => return Err(e),
-            }
-        }
-        Err(MapError::infeasible(format!(
-            "CP infeasible for every II in {min_ii}..={max_ii} (candidate window)"
-        )))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mapper::MapConfig;
     use crate::validate::validate;
-    use cgra_arch::Topology;
+    use cgra_arch::{Fabric, Topology};
     use cgra_ir::kernels;
 
     #[test]

@@ -8,13 +8,12 @@
 //! whose summed route cost is lowest. Placement is a by-product of
 //! routing.
 
-use super::state::SchedState;
-use crate::engine::Budget;
-use crate::mapper::{Family, MapConfig, MapError, Mapper};
+use super::state::{height_order, SchedState};
+use crate::mapper::{Family, MapError, Mapper};
 use crate::mapping::Mapping;
-use crate::telemetry::{Counter, Phase, Telemetry};
+use crate::sweep::{SweepCtx, TemporalMapper};
 use cgra_arch::{Fabric, PeId, SpaceTime, TopologyCache};
-use cgra_ir::{graph, Dfg, NodeId, OpKind};
+use cgra_ir::NodeId;
 
 /// The edge-centric mapper.
 #[derive(Debug, Clone)]
@@ -81,27 +80,30 @@ fn route_cost_field(
     dist
 }
 
-impl EdgeCentric {
-    fn try_ii(
-        &self,
-        dfg: &Dfg,
-        fabric: &Fabric,
-        ii: u32,
-        topo: &TopologyCache,
-        budget: &Budget,
-        tele: &Telemetry,
-    ) -> Option<Mapping> {
-        tele.bump(Counter::IiAttempts);
-        let _span = tele.span_ii(Phase::Map, ii);
-        let mut state = SchedState::new(dfg, fabric, ii, topo, tele.clone());
-        let lat = |op: OpKind| fabric.latency_of(op);
-        let height = graph::height(dfg, &lat);
-        let mut order: Vec<NodeId> = dfg.topo_order().ok()?;
-        order.sort_by_key(|n| std::cmp::Reverse(height[n.index()]));
+impl Mapper for EdgeCentric {
+    fn name(&self) -> &'static str {
+        "edge-centric"
+    }
 
+    fn family(&self) -> Family {
+        Family::Heuristic
+    }
+
+    fn temporal(&self) -> Option<&dyn TemporalMapper> {
+        Some(self)
+    }
+}
+
+impl TemporalMapper for EdgeCentric {
+    fn try_ii(&self, ctx: &SweepCtx<'_>, ii: u32) -> Result<Option<Mapping>, MapError> {
+        let (dfg, fabric, topo) = (ctx.dfg, ctx.fabric, &*ctx.topo);
+        let Some(order) = height_order(dfg, fabric) else {
+            return Ok(None);
+        };
+        let mut state = SchedState::new(dfg, fabric, ii, topo, ctx.telemetry.clone());
         for &n in &order {
-            if budget.expired() {
-                return None;
+            if ctx.budget.expired() {
+                return Ok(None);
             }
             let est = state.est(n);
             let window_end = match state.lst(n) {
@@ -109,7 +111,7 @@ impl EdgeCentric {
                 None => est + self.window_iis * ii,
             };
             if window_end < est {
-                return None;
+                return Ok(None);
             }
 
             // Build route-cost fields from every placed dist-0 producer.
@@ -168,49 +170,17 @@ impl EdgeCentric {
                 }
             }
             if !placed {
-                return None;
+                return Ok(None);
             }
         }
-        state.into_mapping()
-    }
-}
-
-impl Mapper for EdgeCentric {
-    fn name(&self) -> &'static str {
-        "edge-centric"
-    }
-
-    fn family(&self) -> Family {
-        Family::Heuristic
-    }
-
-    fn map(&self, dfg: &Dfg, fabric: &Fabric, cfg: &MapConfig) -> Result<Mapping, MapError> {
-        dfg.validate()
-            .map_err(|e| MapError::Unsupported(e.to_string()))?;
-        let mii = super::ModuloList::mii(dfg, fabric);
-        let (min_ii, max_ii) = cfg.ii_range_for(dfg, mii, fabric)?;
-        let topo = cfg.topo_for(fabric);
-        let budget = cfg.run_budget();
-        for ii in min_ii..=max_ii {
-            cfg.ledger.ii_attempt("edge-centric", ii);
-            if let Some(m) = self.try_ii(dfg, fabric, ii, &topo, &budget, &cfg.telemetry) {
-                cfg.telemetry.bump(Counter::Incumbents);
-                cfg.ledger.incumbent("edge-centric", ii, ii as f64);
-                return Ok(m);
-            }
-            if budget.expired_now() {
-                return Err(budget.error());
-            }
-        }
-        Err(MapError::infeasible(format!(
-            "no II in {min_ii}..={max_ii} admits a schedule"
-        )))
+        Ok(state.into_mapping())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mapper::MapConfig;
     use crate::validate::validate;
     use cgra_arch::Topology;
     use cgra_ir::kernels;

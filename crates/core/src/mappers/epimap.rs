@@ -18,13 +18,15 @@
 //! Routing is materialised once at the end (negotiated PathFinder); a
 //! routing failure backtracks into the search.
 
+use super::state::height_order;
 use crate::engine::Budget;
-use crate::mapper::{Family, MapConfig, MapError, Mapper};
+use crate::mapper::{Family, MapError, Mapper};
 use crate::mapping::{Mapping, Placement};
 use crate::route::route_all_with;
-use crate::telemetry::{Counter, Phase, Telemetry};
+use crate::sweep::{SweepCtx, TemporalMapper};
+use crate::telemetry::{Counter, Telemetry};
 use cgra_arch::{Fabric, PeId, TopologyCache};
-use cgra_ir::{graph, Dfg, NodeId, OpKind};
+use cgra_ir::{Dfg, NodeId};
 
 /// The MCS-based mapper.
 #[derive(Debug, Clone)]
@@ -158,23 +160,26 @@ impl<'a> Search<'a> {
     }
 }
 
-impl EpiMap {
-    fn try_ii(
-        &self,
-        dfg: &Dfg,
-        fabric: &Fabric,
-        ii: u32,
-        topo: &TopologyCache,
-        budget: &Budget,
-        tele: &Telemetry,
-    ) -> Option<Mapping> {
-        tele.bump(Counter::IiAttempts);
-        let _span = tele.span_ii(Phase::Map, ii);
-        let lat = |op: OpKind| fabric.latency_of(op);
-        let height = graph::height(dfg, &lat);
-        let mut order: Vec<NodeId> = dfg.topo_order().ok()?;
-        order.sort_by_key(|n| std::cmp::Reverse(height[n.index()]));
+impl Mapper for EpiMap {
+    fn name(&self) -> &'static str {
+        "epimap"
+    }
 
+    fn family(&self) -> Family {
+        Family::Heuristic
+    }
+
+    fn temporal(&self) -> Option<&dyn TemporalMapper> {
+        Some(self)
+    }
+}
+
+impl TemporalMapper for EpiMap {
+    fn try_ii(&self, ctx: &SweepCtx<'_>, ii: u32) -> Result<Option<Mapping>, MapError> {
+        let (dfg, fabric, topo) = (ctx.dfg, ctx.fabric, &*ctx.topo);
+        let Some(order) = height_order(dfg, fabric) else {
+            return Ok(None);
+        };
         let mut search = Search {
             dfg,
             fabric,
@@ -186,54 +191,22 @@ impl EpiMap {
             attempts: 0,
             max_attempts: self.max_attempts,
             window_iis: self.window_iis,
-            budget,
-            tele: tele.clone(),
+            budget: &ctx.budget,
+            tele: ctx.telemetry.clone(),
         };
         if !search.dfs(0) {
-            return None;
+            return Ok(None);
         }
         let place: Vec<Placement> = search.assign.into_iter().map(|p| p.unwrap()).collect();
-        let routes = route_all_with(fabric, topo, dfg, &place, ii, 12, true, tele)?;
-        Some(Mapping { ii, place, routes })
-    }
-}
-
-impl Mapper for EpiMap {
-    fn name(&self) -> &'static str {
-        "epimap"
-    }
-
-    fn family(&self) -> Family {
-        Family::Heuristic
-    }
-
-    fn map(&self, dfg: &Dfg, fabric: &Fabric, cfg: &MapConfig) -> Result<Mapping, MapError> {
-        dfg.validate()
-            .map_err(|e| MapError::Unsupported(e.to_string()))?;
-        let mii = super::ModuloList::mii(dfg, fabric);
-        let (min_ii, max_ii) = cfg.ii_range_for(dfg, mii, fabric)?;
-        let topo = cfg.topo_for(fabric);
-        let budget = cfg.run_budget();
-        for ii in min_ii..=max_ii {
-            cfg.ledger.ii_attempt("epimap", ii);
-            if let Some(m) = self.try_ii(dfg, fabric, ii, &topo, &budget, &cfg.telemetry) {
-                cfg.telemetry.bump(Counter::Incumbents);
-                cfg.ledger.incumbent("epimap", ii, ii as f64);
-                return Ok(m);
-            }
-            if budget.expired_now() {
-                return Err(budget.error());
-            }
-        }
-        Err(MapError::infeasible(format!(
-            "no II in {min_ii}..={max_ii} admits an embedding"
-        )))
+        let routes = route_all_with(fabric, topo, dfg, &place, ii, 12, true, ctx.telemetry);
+        Ok(routes.map(|routes| Mapping { ii, place, routes }))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mapper::MapConfig;
     use crate::validate::validate;
     use cgra_arch::Topology;
     use cgra_ir::kernels;

@@ -8,14 +8,12 @@
 //! energy ∝ wirelength under its mapping-feasibility constraint).
 //! Population fitness is evaluated in parallel with rayon.
 
-use super::meta_common::{eval_binding, finish_binding, legal_schedule, random_binding};
-use crate::engine::Budget;
-use crate::ledger::Ledger;
-use crate::mapper::{Family, MapConfig, MapError, Mapper};
+use super::meta_common::{eval_binding, first_routable, random_binding};
+use crate::mapper::{Family, MapError, Mapper};
 use crate::mapping::Mapping;
-use crate::telemetry::{Counter, Phase, Telemetry};
-use cgra_arch::{Fabric, PeId, TopologyCache};
-use cgra_ir::Dfg;
+use crate::sweep::{SweepCtx, TemporalMapper};
+use crate::telemetry::Counter;
+use cgra_arch::PeId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
@@ -44,19 +42,10 @@ impl Default for Genetic {
 }
 
 impl Genetic {
-    #[allow(clippy::too_many_arguments)]
-    fn evolve(
-        &self,
-        dfg: &Dfg,
-        fabric: &Fabric,
-        topo: &TopologyCache,
-        ii: u32,
-        seed: u64,
-        budget: &Budget,
-        tele: &Telemetry,
-        ledger: &Ledger,
-    ) -> Vec<(u64, Vec<PeId>)> {
-        let mut rng = StdRng::seed_from_u64(seed);
+    fn evolve(&self, ctx: &SweepCtx<'_>, ii: u32) -> Vec<(u64, Vec<PeId>)> {
+        let (dfg, fabric, topo) = (ctx.dfg, ctx.fabric, &*ctx.topo);
+        let (tele, ledger) = (ctx.telemetry, ctx.ledger);
+        let mut rng = StdRng::seed_from_u64(ctx.seed ^ ii as u64);
         let n = dfg.node_count();
         let feasible: Vec<Vec<PeId>> = dfg
             .node_ids()
@@ -75,7 +64,7 @@ impl Genetic {
         let mut best_cost = u64::MAX;
 
         for _gen in 0..self.generations {
-            if budget.expired_now() {
+            if ctx.budget.expired_now() {
                 break;
             }
             scored = pop
@@ -151,53 +140,26 @@ impl Mapper for Genetic {
         Family::MetaPopulation
     }
 
-    fn map(&self, dfg: &Dfg, fabric: &Fabric, cfg: &MapConfig) -> Result<Mapping, MapError> {
-        dfg.validate()
-            .map_err(|e| MapError::Unsupported(e.to_string()))?;
-        let mii = super::ModuloList::mii(dfg, fabric);
-        let (min_ii, max_ii) = cfg.ii_range_for(dfg, mii, fabric)?;
-        let topo = cfg.topo_for(fabric);
-        let budget = cfg.run_budget();
+    fn temporal(&self) -> Option<&dyn TemporalMapper> {
+        Some(self)
+    }
+}
 
-        for ii in min_ii..=max_ii {
-            cfg.telemetry.bump(Counter::IiAttempts);
-            cfg.ledger.ii_attempt("ga", ii);
-            let _span = cfg.telemetry.span_ii(Phase::Map, ii);
-            let scored = self.evolve(
-                dfg,
-                fabric,
-                &topo,
-                ii,
-                cfg.seed ^ ii as u64,
-                &budget,
-                &cfg.telemetry,
-                &cfg.ledger,
-            );
-            for (_, binding) in scored.into_iter().take(3) {
-                if let Some(times) = legal_schedule(dfg, fabric, &topo, &binding, ii) {
-                    if let Some(m) =
-                        finish_binding(dfg, fabric, &topo, &binding, &times, ii, &cfg.telemetry)
-                    {
-                        return Ok(m);
-                    }
-                }
-            }
-            if budget.expired_now() {
-                return Err(budget.error());
-            }
-        }
-        Err(MapError::infeasible(format!(
-            "no routable individual in II {min_ii}..={max_ii}"
-        )))
+impl TemporalMapper for Genetic {
+    fn try_ii(&self, ctx: &SweepCtx<'_>, ii: u32) -> Result<Option<Mapping>, MapError> {
+        let scored = self.evolve(ctx, ii);
+        let best = scored.into_iter().take(3).map(|(_, binding)| binding);
+        Ok(first_routable(ctx, ii, best))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mapper::MapConfig;
     use crate::metrics::Metrics;
     use crate::validate::validate;
-    use cgra_arch::Topology;
+    use cgra_arch::{Fabric, Topology};
     use cgra_ir::kernels;
 
     #[test]

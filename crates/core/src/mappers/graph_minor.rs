@@ -10,13 +10,13 @@
 //! different permutation when the downstream embedding fails, and the
 //! branch sets are materialised by the router at the end.
 
-use crate::engine::Budget;
-use crate::mapper::{Family, MapConfig, MapError, Mapper};
+use crate::mapper::{Family, MapError, Mapper};
 use crate::mapping::{Mapping, Placement};
 use crate::route::route_all_with;
-use crate::telemetry::{Counter, Phase, Telemetry};
-use cgra_arch::{Fabric, PeId, TopologyCache};
-use cgra_ir::{graph, Dfg, NodeId, OpKind};
+use crate::sweep::{SweepCtx, TemporalMapper};
+use crate::telemetry::Counter;
+use cgra_arch::PeId;
+use cgra_ir::{graph, NodeId, OpKind};
 
 /// The level-matching minor-embedding mapper.
 #[derive(Debug, Clone)]
@@ -33,18 +33,23 @@ impl Default for GraphMinor {
     }
 }
 
-impl GraphMinor {
-    fn try_ii(
-        &self,
-        dfg: &Dfg,
-        fabric: &Fabric,
-        ii: u32,
-        topo: &TopologyCache,
-        budget: &Budget,
-        tele: &Telemetry,
-    ) -> Option<Mapping> {
-        tele.bump(Counter::IiAttempts);
-        let _span = tele.span_ii(Phase::Map, ii);
+impl Mapper for GraphMinor {
+    fn name(&self) -> &'static str {
+        "graph-minor"
+    }
+
+    fn family(&self) -> Family {
+        Family::Heuristic
+    }
+
+    fn temporal(&self) -> Option<&dyn TemporalMapper> {
+        Some(self)
+    }
+}
+
+impl TemporalMapper for GraphMinor {
+    fn try_ii(&self, ctx: &SweepCtx<'_>, ii: u32) -> Result<Option<Mapping>, MapError> {
+        let (dfg, fabric) = (ctx.dfg, ctx.fabric);
         let lat = |op: OpKind| fabric.latency_of(op);
         let levels = graph::asap(dfg, &lat);
         let max_level = levels.iter().copied().max().unwrap_or(0);
@@ -56,33 +61,31 @@ impl GraphMinor {
         // Time of a level: spread levels `spacing` cycles apart so hops
         // have slack; spacing grows on retry.
         for spacing in 1..=3u32 {
-            if budget.expired_now() {
-                return None;
+            if ctx.budget.expired_now() {
+                return Ok(None);
             }
-            if let Some(m) = self.embed(dfg, fabric, ii, topo, &by_level, spacing, budget, tele) {
-                return Some(m);
+            if let Some(m) = self.embed(ctx, ii, &by_level, spacing) {
+                return Ok(Some(m));
             }
         }
-        None
+        Ok(None)
     }
+}
 
-    #[allow(clippy::too_many_arguments)]
+impl GraphMinor {
     fn embed(
         &self,
-        dfg: &Dfg,
-        fabric: &Fabric,
+        ctx: &SweepCtx<'_>,
         ii: u32,
-        topo: &TopologyCache,
         by_level: &[Vec<NodeId>],
         spacing: u32,
-        budget: &Budget,
-        tele: &Telemetry,
     ) -> Option<Mapping> {
+        let (dfg, fabric, topo) = (ctx.dfg, ctx.fabric, &*ctx.topo);
         let mut place: Vec<Option<Placement>> = vec![None; dfg.node_count()];
         let mut fu: std::collections::HashSet<(PeId, u32)> = std::collections::HashSet::new();
 
         for (lvl, ops) in by_level.iter().enumerate() {
-            if budget.expired() {
+            if ctx.budget.expired() {
                 return None;
             }
             let t = lvl as u32 * spacing;
@@ -129,7 +132,7 @@ impl GraphMinor {
                         });
                     match best {
                         Some(pe) => {
-                            tele.bump(Counter::PlacementsTried);
+                            ctx.telemetry.bump(Counter::PlacementsTried);
                             trial_fu.insert((pe, slot));
                             trial_place[n.index()] = Some(Placement { pe, time: t });
                         }
@@ -152,49 +155,17 @@ impl GraphMinor {
         }
         let place: Vec<Placement> = place.into_iter().collect::<Option<_>>()?;
         // Materialise branch sets (routes).
-        let routes = route_all_with(fabric, topo, dfg, &place, ii, 12, true, tele)?;
+        let routes = route_all_with(fabric, topo, dfg, &place, ii, 12, true, ctx.telemetry)?;
         Some(Mapping { ii, place, routes })
-    }
-}
-
-impl Mapper for GraphMinor {
-    fn name(&self) -> &'static str {
-        "graph-minor"
-    }
-
-    fn family(&self) -> Family {
-        Family::Heuristic
-    }
-
-    fn map(&self, dfg: &Dfg, fabric: &Fabric, cfg: &MapConfig) -> Result<Mapping, MapError> {
-        dfg.validate()
-            .map_err(|e| MapError::Unsupported(e.to_string()))?;
-        let mii = super::ModuloList::mii(dfg, fabric);
-        let (min_ii, max_ii) = cfg.ii_range_for(dfg, mii, fabric)?;
-        let topo = cfg.topo_for(fabric);
-        let budget = cfg.run_budget();
-        for ii in min_ii..=max_ii {
-            cfg.ledger.ii_attempt("graph-minor", ii);
-            if let Some(m) = self.try_ii(dfg, fabric, ii, &topo, &budget, &cfg.telemetry) {
-                cfg.telemetry.bump(Counter::Incumbents);
-                cfg.ledger.incumbent("graph-minor", ii, ii as f64);
-                return Ok(m);
-            }
-            if budget.expired_now() {
-                return Err(budget.error());
-            }
-        }
-        Err(MapError::infeasible(format!(
-            "no II in {min_ii}..={max_ii} admits a minor embedding"
-        )))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mapper::MapConfig;
     use crate::validate::validate;
-    use cgra_arch::Topology;
+    use cgra_arch::{Fabric, Topology};
     use cgra_ir::kernels;
 
     #[test]

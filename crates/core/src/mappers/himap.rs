@@ -10,13 +10,20 @@
 //! algorithm iterates — growing regions and II — until a valid mapping
 //! is found (HiMap "terminates when a valid mapping is found").
 
-use super::state::SchedState;
-use crate::engine::Budget;
-use crate::mapper::{Family, MapConfig, MapError, Mapper};
+use super::state::{height_order, SchedState};
+use crate::mapper::{Family, MapError, Mapper};
 use crate::mapping::Mapping;
-use crate::telemetry::{Counter, Phase, Telemetry};
-use cgra_arch::{Fabric, PeId, TopologyCache};
-use cgra_ir::{graph, Dfg, NodeId, OpKind};
+use crate::sweep::{SweepCtx, TemporalMapper};
+use cgra_arch::{Fabric, PeId};
+use cgra_ir::Dfg;
+use std::any::Any;
+
+/// The once-per-sweep hierarchy: cluster ids per op and region centres
+/// per cluster.
+struct Hierarchy {
+    clusters: Vec<usize>,
+    centres: Vec<(f64, f64)>,
+}
 
 /// The hierarchical mapper.
 #[derive(Debug, Clone)]
@@ -120,29 +127,20 @@ impl HiMap {
         pos
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn try_ii(
+    /// One placement pass at `ii` with candidates restricted to within
+    /// `region_radius` of each op's cluster centre.
+    fn place_in_regions(
         &self,
-        dfg: &Dfg,
-        fabric: &Fabric,
+        ctx: &SweepCtx<'_>,
+        hier: &Hierarchy,
         ii: u32,
-        topo: &TopologyCache,
-        clusters: &[usize],
-        centres: &[(f64, f64)],
         region_radius: u32,
-        budget: &Budget,
-        tele: &Telemetry,
     ) -> Option<Mapping> {
-        tele.bump(Counter::IiAttempts);
-        let _span = tele.span_ii(Phase::Map, ii);
-        let mut state = SchedState::new(dfg, fabric, ii, topo, tele.clone());
-        let lat = |op: OpKind| fabric.latency_of(op);
-        let height = graph::height(dfg, &lat);
-        let mut order: Vec<NodeId> = dfg.topo_order().ok()?;
-        order.sort_by_key(|n| std::cmp::Reverse(height[n.index()]));
-
+        let (dfg, fabric) = (ctx.dfg, ctx.fabric);
+        let order = height_order(dfg, fabric)?;
+        let mut state = SchedState::new(dfg, fabric, ii, &ctx.topo, ctx.telemetry.clone());
         for &n in &order {
-            if budget.expired() {
+            if ctx.budget.expired() {
                 return None;
             }
             let est = state.est(n);
@@ -154,7 +152,7 @@ impl HiMap {
                 return None;
             }
             // Candidate PEs: within the cluster's region first.
-            let (cx, cy) = centres[clusters[n.index()]];
+            let (cx, cy) = hier.centres[hier.clusters[n.index()]];
             let op = dfg.op(n);
             let mut cands: Vec<(u64, PeId)> = fabric
                 .pe_ids()
@@ -196,53 +194,43 @@ impl Mapper for HiMap {
         Family::Heuristic
     }
 
-    fn map(&self, dfg: &Dfg, fabric: &Fabric, cfg: &MapConfig) -> Result<Mapping, MapError> {
-        dfg.validate()
-            .map_err(|e| MapError::Unsupported(e.to_string()))?;
-        let mii = super::ModuloList::mii(dfg, fabric);
-        let (min_ii, max_ii) = cfg.ii_range_for(dfg, mii, fabric)?;
-        let topo = cfg.topo_for(fabric);
-        let clusters = cluster_dfg(dfg, self.cluster_size);
-        let centres = self.region_centres(dfg, &clusters, fabric);
-        let budget = cfg.run_budget();
-        let max_radius = (fabric.rows.max(fabric.cols)) as u32 + 1;
+    fn temporal(&self) -> Option<&dyn TemporalMapper> {
+        Some(self)
+    }
+}
 
-        // Iterate: grow the region radius, then the II — terminating
-        // when a valid mapping is found.
-        for ii in min_ii..=max_ii {
-            cfg.ledger.ii_attempt("himap", ii);
-            let mut radius = 2;
-            while radius <= max_radius {
-                if let Some(m) = self.try_ii(
-                    dfg,
-                    fabric,
-                    ii,
-                    &topo,
-                    &clusters,
-                    &centres,
-                    radius,
-                    &budget,
-                    &cfg.telemetry,
-                ) {
-                    cfg.telemetry.bump(Counter::Incumbents);
-                    cfg.ledger.incumbent("himap", ii, radius as f64);
-                    return Ok(m);
-                }
-                if budget.expired_now() {
-                    return Err(budget.error());
-                }
-                radius *= 2;
+impl TemporalMapper for HiMap {
+    fn prepare(&self, ctx: &SweepCtx<'_>) -> Option<Box<dyn Any + Send + Sync>> {
+        let clusters = cluster_dfg(ctx.dfg, self.cluster_size);
+        let centres = self.region_centres(ctx.dfg, &clusters, ctx.fabric);
+        Some(Box::new(Hierarchy { clusters, centres }))
+    }
+
+    /// Iterate: grow the region radius within the II — terminating when
+    /// a valid mapping is found.
+    fn try_ii(&self, ctx: &SweepCtx<'_>, ii: u32) -> Result<Option<Mapping>, MapError> {
+        let hier = ctx
+            .state::<Hierarchy>()
+            .expect("prepare builds the hierarchy");
+        let max_radius = (ctx.fabric.rows.max(ctx.fabric.cols)) as u32 + 1;
+        let mut radius = 2;
+        while radius <= max_radius {
+            if let Some(m) = self.place_in_regions(ctx, hier, ii, radius) {
+                return Ok(Some(m));
             }
+            if ctx.budget.expired_now() {
+                return Err(ctx.budget.error());
+            }
+            radius *= 2;
         }
-        Err(MapError::infeasible(format!(
-            "no II in {min_ii}..={max_ii} admits a hierarchical mapping"
-        )))
+        Ok(None)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mapper::MapConfig;
     use crate::validate::validate;
     use cgra_arch::Topology;
     use cgra_ir::kernels;

@@ -15,7 +15,7 @@
 //! keeps one persistent model per II: each round appends a blocking row
 //! and re-solves, warm-starting the root relaxation from the basis of
 //! the placement that just failed to route — one row away. Between
-//! `map()` calls the mapper parks its state in
+//! `map()` calls the sweep's `finish` hook parks its state in
 //! [`MapConfig::incr`](crate::IncrementalCtx): completed per-II
 //! infeasibility proofs (re-answered without a solve) and the achieved
 //! II's model, root basis, and accepted assignment. A re-map of the
@@ -29,15 +29,17 @@ use super::exact_common::{add_solver_stats, edge_compatible, realise, PositionSp
 use crate::diagnosis::{cap_list, cell_name, op_name, Diagnosis, ResourceClass};
 use crate::engine::Budget;
 use crate::incremental::{kernel_fingerprint, IncrKey};
-use crate::ledger::Ledger;
 use crate::mapper::{Family, MapConfig, MapError, Mapper};
 use crate::mapping::Mapping;
-use crate::telemetry::{Counter, Phase, Telemetry};
+use crate::sweep::{SweepCtx, TemporalMapper};
+use crate::telemetry::Counter;
 use cgra_arch::{Fabric, PeId, TopologyCache};
 use cgra_ir::{Dfg, NodeId};
 use cgra_solver::ilp::IlpConfig;
 use cgra_solver::{Cmp, IlpModel, IlpResult, IlpVar, IlpWarmStart, IncumbentHook};
+use std::any::Any;
 use std::collections::{BTreeMap, HashSet};
+use std::sync::Mutex;
 use std::time::Duration;
 
 /// The ILP mapper.
@@ -69,6 +71,13 @@ struct IlpPool {
     infeasible: HashSet<u32>,
     /// The achieved II's solver state, re-entered warm on a re-map.
     solved: Option<Box<IlpSolved>>,
+}
+
+/// One incremental sweep's pool, taken at `prepare` and parked back by
+/// `finish`.
+struct IlpSweep {
+    key: IncrKey,
+    pool: Mutex<Box<IlpPool>>,
 }
 
 /// A solved II: the persistent model with every CEGAR blocking row,
@@ -117,22 +126,14 @@ impl IlpMapper {
         h.finish()
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn try_ii(
+    fn solve_ii(
         &self,
-        dfg: &Dfg,
-        fabric: &Fabric,
+        ctx: &SweepCtx<'_>,
         ii: u32,
-        topo: &TopologyCache,
-        budget: &Budget,
-        tele: &Telemetry,
-        ledger: &Ledger,
-        incremental: bool,
         pooled: Option<Box<IlpSolved>>,
     ) -> Result<TryIi, MapError> {
-        tele.bump(Counter::IiAttempts);
-        ledger.ii_attempt("ilp", ii);
-        let _span = tele.span_ii(Phase::Map, ii);
+        let (dfg, fabric, topo, budget) = (ctx.dfg, ctx.fabric, &*ctx.topo, &ctx.budget);
+        let (tele, ledger, incremental) = (ctx.telemetry, ctx.ledger, ctx.cfg.incremental);
         let space = PositionSpace::build(dfg, fabric, ii, self.window_iis, Some(self.position_cap));
         if space.positions.iter().any(|ps| ps.is_empty()) {
             return Ok(TryIi::Infeasible);
@@ -526,81 +527,77 @@ impl Mapper for IlpMapper {
         Family::ExactIlp
     }
 
-    fn map(&self, dfg: &Dfg, fabric: &Fabric, cfg: &MapConfig) -> Result<Mapping, MapError> {
-        dfg.validate()
-            .map_err(|e| MapError::Unsupported(e.to_string()))?;
-        let mii = super::ModuloList::mii(dfg, fabric);
-        let (min_ii, max_ii) = cfg.ii_range_for(dfg, mii, fabric)?;
-        let topo = cfg.topo_for(fabric);
-        let budget = cfg.run_budget();
+    fn temporal(&self) -> Option<&dyn TemporalMapper> {
+        Some(self)
+    }
+}
+
+impl TemporalMapper for IlpMapper {
+    fn prepare(&self, ctx: &SweepCtx<'_>) -> Option<Box<dyn Any + Send + Sync>> {
+        if !ctx.cfg.incremental {
+            return None;
+        }
         let key = IncrKey {
             mapper: "ilp",
-            fabric_fp: topo.fingerprint64(),
-            kernel_fp: kernel_fingerprint(dfg),
-            knobs: self.knobs(cfg, min_ii, max_ii),
+            fabric_fp: ctx.topo.fingerprint64(),
+            kernel_fp: kernel_fingerprint(ctx.dfg),
+            knobs: self.knobs(ctx.cfg, ctx.lo, ctx.hi),
         };
-        let mut pool: Box<IlpPool> = if cfg.incremental {
-            cfg.incr.take_as::<IlpPool>(&key).unwrap_or_default()
-        } else {
-            Box::default()
-        };
-        for ii in min_ii..=max_ii {
-            if cfg.incremental && pool.infeasible.contains(&ii) {
-                // Answered from the pooled proof; keep the observable
-                // sweep ledger identical to an uncached run.
-                cfg.telemetry.bump(Counter::IiAttempts);
-                cfg.ledger.ii_attempt("ilp", ii);
-                continue;
+        let pool = ctx.cfg.incr.take_as::<IlpPool>(&key).unwrap_or_default();
+        Some(Box::new(IlpSweep {
+            key,
+            pool: Mutex::new(pool),
+        }))
+    }
+
+    fn try_ii(&self, ctx: &SweepCtx<'_>, ii: u32) -> Result<Option<Mapping>, MapError> {
+        let sweep = ctx.state::<IlpSweep>();
+        let pooled = match sweep {
+            Some(s) => {
+                let mut pool = s.pool.lock().expect("no sweep job panics holding the pool");
+                if pool.infeasible.contains(&ii) {
+                    // Answered from the pooled proof.
+                    return Ok(None);
+                }
+                pool.solved.take_if(|solved| solved.ii == ii)
             }
-            let pooled = if pool.solved.as_ref().is_some_and(|s| s.ii == ii) {
-                pool.solved.take()
-            } else {
+            None => None,
+        };
+        let out = self.solve_ii(ctx, ii, pooled)?;
+        let Some(s) = sweep else {
+            return Ok(match out {
+                TryIi::Mapped(m, _) => Some(m),
+                _ => None,
+            });
+        };
+        let mut pool = s.pool.lock().expect("no sweep job panics holding the pool");
+        Ok(match out {
+            TryIi::Mapped(m, solved) => {
+                // Racing per-II jobs keep the lowest solved II.
+                if pool.solved.as_ref().is_none_or(|old| ii <= old.ii) {
+                    pool.solved = solved;
+                }
+                Some(m)
+            }
+            TryIi::Infeasible => {
+                pool.infeasible.insert(ii);
                 None
-            };
-            let out = self.try_ii(
-                dfg,
-                fabric,
-                ii,
-                &topo,
-                &budget,
-                &cfg.telemetry,
-                &cfg.ledger,
-                cfg.incremental,
-                pooled,
-            );
-            match out {
-                Ok(TryIi::Mapped(m, solved)) => {
-                    if cfg.incremental {
-                        pool.solved = solved;
-                        cfg.incr.put(key, pool);
-                    }
-                    return Ok(m);
-                }
-                Ok(TryIi::Infeasible) => {
-                    pool.infeasible.insert(ii);
-                }
-                Ok(TryIi::Unknown) => {}
-                Err(e) => {
-                    // Completed proofs stay valid; park them before
-                    // surfacing the budget error.
-                    if cfg.incremental {
-                        cfg.incr.put(key, pool);
-                    }
-                    return Err(e);
-                }
             }
+            TryIi::Unknown => None,
+        })
+    }
+
+    /// Completed proofs stay valid whatever stopped the sweep.
+    fn finish(&self, ctx: &SweepCtx<'_>) {
+        if let Some(s) = ctx.state::<IlpSweep>() {
+            let pool =
+                std::mem::take(&mut *s.pool.lock().expect("no sweep job panics holding the pool"));
+            ctx.cfg.incr.put(s.key, pool);
         }
-        if cfg.incremental {
-            cfg.incr.put(key, pool);
-        }
-        let why = format!("ILP infeasible for every II in {min_ii}..={max_ii} (candidate window)");
-        if cfg.explain {
-            let probe_budget = cfg.run_budget();
-            let d = self.diagnose_ii(dfg, fabric, max_ii, mii, &topo, &probe_budget);
-            Err(MapError::infeasible_with(why, d))
-        } else {
-            Err(MapError::infeasible(why))
-        }
+    }
+
+    fn diagnose(&self, ctx: &SweepCtx<'_>, ii: u32) -> Option<Diagnosis> {
+        Some(self.diagnose_ii(ctx.dfg, ctx.fabric, ii, ctx.mii, &ctx.topo, &ctx.budget))
     }
 }
 

@@ -11,6 +11,7 @@
 
 use crate::mapping::{Mapping, Placement};
 use crate::route::route_all_with;
+use crate::sweep::SweepCtx;
 use crate::telemetry::Telemetry;
 use cgra_arch::{Fabric, PeId, TopologyCache};
 use cgra_ir::Dfg;
@@ -188,6 +189,20 @@ pub(crate) fn finish_binding(
         .collect();
     let routes = route_all_with(fabric, topo, dfg, &place, ii, 12, true, tele)?;
     Some(Mapping { ii, place, routes })
+}
+
+/// Materialise the first of `bindings` (best first) that schedules
+/// legally and routes at `ii`.
+pub(crate) fn first_routable(
+    ctx: &SweepCtx<'_>,
+    ii: u32,
+    bindings: impl IntoIterator<Item = Vec<PeId>>,
+) -> Option<Mapping> {
+    let (dfg, fabric, topo) = (ctx.dfg, ctx.fabric, &*ctx.topo);
+    bindings.into_iter().find_map(|pes| {
+        let times = legal_schedule(dfg, fabric, topo, &pes, ii)?;
+        finish_binding(dfg, fabric, topo, &pes, &times, ii, ctx.telemetry)
+    })
 }
 
 /// Random capability-feasible binding.

@@ -24,6 +24,7 @@ mod smt_mapper;
 mod spatial_greedy;
 pub(crate) mod state;
 
+pub use crate::sweep::IiSearch;
 pub use bnb::BranchAndBound;
 pub use cp_mapper::CpMapper;
 pub use edge_centric::EdgeCentric;
@@ -33,7 +34,7 @@ pub use graph_drawing::GraphDrawing;
 pub use graph_minor::GraphMinor;
 pub use himap::HiMap;
 pub use ilp_mapper::IlpMapper;
-pub use modulo_list::{IiSearch, ModuloList};
+pub use modulo_list::ModuloList;
 pub use qea::Qea;
 pub use ramp::Ramp;
 pub use sa::{Cooling, SimulatedAnnealing};

@@ -10,24 +10,13 @@
 //! exhausts its window, the II is bumped — the classic "increase II
 //! until it fits" loop of the survey's modulo-scheduling section.
 
-use super::state::SchedState;
-use crate::engine::Budget;
-use crate::mapper::{Family, MapConfig, MapError, Mapper};
+use super::state::{height_order, SchedState};
+use crate::mapper::{Family, MapError, Mapper};
 use crate::mapping::Mapping;
-use crate::telemetry::{Counter, Phase, Telemetry};
-use cgra_arch::{Fabric, TopologyCache};
+use crate::sweep::{IiSearch, SweepCtx, TemporalMapper};
+use cgra_arch::Fabric;
 use cgra_ir::graph;
-use cgra_ir::{Dfg, NodeId, OpKind};
-
-/// How the II space is searched — an ablation axis (DESIGN.md §4.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IiSearch {
-    /// Bottom-up from MII (guarantees minimal II among found).
-    #[default]
-    BottomUp,
-    /// Binary search between MII and `max_ii` (fewer, bigger probes).
-    Binary,
-}
+use cgra_ir::{Dfg, OpKind};
 
 /// The modulo list scheduler.
 #[derive(Debug, Clone)]
@@ -67,54 +56,6 @@ impl ModuloList {
         };
         graph::mii(dfg, &lat, alu, mul, mem).max(io_mii)
     }
-
-    /// Attempt one II. Returns the mapping on success.
-    pub fn try_ii(
-        &self,
-        dfg: &Dfg,
-        fabric: &Fabric,
-        ii: u32,
-        topo: &TopologyCache,
-        budget: &Budget,
-        tele: &Telemetry,
-    ) -> Option<Mapping> {
-        tele.bump(Counter::IiAttempts);
-        let _span = tele.span_ii(Phase::Map, ii);
-        let mut state = SchedState::new(dfg, fabric, ii, topo, tele.clone());
-        let lat = |op: OpKind| fabric.latency_of(op);
-        let height = graph::height(dfg, &lat);
-        let mut order: Vec<NodeId> = dfg.topo_order().ok()?;
-        // Stable height-descending priority within topological order.
-        order.sort_by_key(|n| std::cmp::Reverse(height[n.index()]));
-
-        for &n in &order {
-            if budget.expired() {
-                return None;
-            }
-            let est = state.est(n);
-            let lst = state.lst(n);
-            let window_end = match lst {
-                Some(l) => l.min(est + self.window_iis * ii),
-                None => est + self.window_iis * ii,
-            };
-            if window_end < est {
-                return None;
-            }
-            let mut placed = false;
-            't: for t in est..=window_end {
-                for pe in state.candidate_pes(n, self.pe_candidates) {
-                    if state.try_place(n, pe, t) {
-                        placed = true;
-                        break 't;
-                    }
-                }
-            }
-            if !placed {
-                return None;
-            }
-        }
-        state.into_mapping()
-    }
 }
 
 impl Mapper for ModuloList {
@@ -126,71 +67,55 @@ impl Mapper for ModuloList {
         Family::Heuristic
     }
 
-    fn map(&self, dfg: &Dfg, fabric: &Fabric, cfg: &MapConfig) -> Result<Mapping, MapError> {
-        dfg.validate()
-            .map_err(|e| MapError::Unsupported(e.to_string()))?;
-        let (min_ii, max_ii) = cfg.ii_range_for(dfg, Self::mii(dfg, fabric), fabric)?;
-        let topo = cfg.topo_for(fabric);
-        let budget = cfg.run_budget();
+    fn temporal(&self) -> Option<&dyn TemporalMapper> {
+        Some(self)
+    }
+}
 
-        match self.ii_search {
-            IiSearch::BottomUp => {
-                for ii in min_ii..=max_ii {
-                    cfg.ledger.ii_attempt("modulo-list", ii);
-                    if let Some(m) = self.try_ii(dfg, fabric, ii, &topo, &budget, &cfg.telemetry) {
-                        cfg.telemetry.bump(Counter::Incumbents);
-                        cfg.ledger.incumbent("modulo-list", ii, ii as f64);
-                        return Ok(m);
-                    }
-                    if budget.expired_now() {
-                        return Err(budget.error());
-                    }
-                }
-                Err(MapError::infeasible(format!(
-                    "no II in {min_ii}..={max_ii} admits a schedule"
-                )))
+impl TemporalMapper for ModuloList {
+    fn order(&self) -> IiSearch {
+        self.ii_search
+    }
+
+    fn try_ii(&self, ctx: &SweepCtx<'_>, ii: u32) -> Result<Option<Mapping>, MapError> {
+        let Some(order) = height_order(ctx.dfg, ctx.fabric) else {
+            return Ok(None);
+        };
+        let mut state = SchedState::new(ctx.dfg, ctx.fabric, ii, &ctx.topo, ctx.telemetry.clone());
+        for &n in &order {
+            if ctx.budget.expired() {
+                return Ok(None);
             }
-            IiSearch::Binary => {
-                // Feasibility is not monotone for greedy list scheduling,
-                // but binary search is still the classic fast probe: find
-                // the smallest II in the probe set that succeeds.
-                let (mut lo, mut hi) = (min_ii, max_ii);
-                let mut best: Option<Mapping> = None;
-                while lo <= hi {
-                    let mid = lo + (hi - lo) / 2;
-                    cfg.ledger.ii_attempt("modulo-list", mid);
-                    match self.try_ii(dfg, fabric, mid, &topo, &budget, &cfg.telemetry) {
-                        Some(m) => {
-                            cfg.telemetry.bump(Counter::Incumbents);
-                            cfg.ledger.incumbent("modulo-list", mid, mid as f64);
-                            best = Some(m);
-                            if mid == 0 {
-                                break;
-                            }
-                            hi = mid.saturating_sub(1);
-                            if hi < lo {
-                                break;
-                            }
-                        }
-                        None => {
-                            lo = mid + 1;
-                        }
-                    }
-                    if budget.expired_now() {
-                        break;
+            let est = state.est(n);
+            let lst = state.lst(n);
+            let window_end = match lst {
+                Some(l) => l.min(est + self.window_iis * ii),
+                None => est + self.window_iis * ii,
+            };
+            if window_end < est {
+                return Ok(None);
+            }
+            let mut placed = false;
+            't: for t in est..=window_end {
+                for pe in state.candidate_pes(n, self.pe_candidates) {
+                    if state.try_place(n, pe, t) {
+                        placed = true;
+                        break 't;
                     }
                 }
-                best.ok_or(MapError::infeasible(format!(
-                    "no II in {min_ii}..={max_ii} admits a schedule"
-                )))
+            }
+            if !placed {
+                return Ok(None);
             }
         }
+        Ok(state.into_mapping())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mapper::MapConfig;
     use crate::validate::validate;
     use cgra_arch::Topology;
     use cgra_ir::kernels;

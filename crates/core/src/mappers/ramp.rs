@@ -6,13 +6,11 @@
 //! with the failed operation given priority. Only when repeated
 //! rip-up/remap rounds fail does the II increase.
 
-use super::state::SchedState;
-use crate::engine::Budget;
-use crate::mapper::{Family, MapConfig, MapError, Mapper};
+use super::state::{height_order, SchedState};
+use crate::mapper::{Family, MapError, Mapper};
 use crate::mapping::Mapping;
-use crate::telemetry::{Counter, Phase, Telemetry};
-use cgra_arch::{Fabric, TopologyCache};
-use cgra_ir::{graph, Dfg, NodeId, OpKind};
+use crate::sweep::{SweepCtx, TemporalMapper};
+use cgra_ir::{graph, NodeId, OpKind};
 use std::collections::VecDeque;
 
 /// The failure-driven remapping mapper.
@@ -33,30 +31,36 @@ impl Default for Ramp {
     }
 }
 
-impl Ramp {
-    fn try_ii(
-        &self,
-        dfg: &Dfg,
-        fabric: &Fabric,
-        ii: u32,
-        topo: &TopologyCache,
-        budget: &Budget,
-        tele: &Telemetry,
-    ) -> Option<Mapping> {
-        tele.bump(Counter::IiAttempts);
-        let _span = tele.span_ii(Phase::Map, ii);
-        let mut state = SchedState::new(dfg, fabric, ii, topo, tele.clone());
+impl Mapper for Ramp {
+    fn name(&self) -> &'static str {
+        "ramp"
+    }
+
+    fn family(&self) -> Family {
+        Family::Heuristic
+    }
+
+    fn temporal(&self) -> Option<&dyn TemporalMapper> {
+        Some(self)
+    }
+}
+
+impl TemporalMapper for Ramp {
+    fn try_ii(&self, ctx: &SweepCtx<'_>, ii: u32) -> Result<Option<Mapping>, MapError> {
+        let (dfg, fabric) = (ctx.dfg, ctx.fabric);
+        let Some(order) = height_order(dfg, fabric) else {
+            return Ok(None);
+        };
+        let mut state = SchedState::new(dfg, fabric, ii, &ctx.topo, ctx.telemetry.clone());
         let lat = |op: OpKind| fabric.latency_of(op);
         let height = graph::height(dfg, &lat);
-        let mut order: Vec<NodeId> = dfg.topo_order().ok()?;
-        order.sort_by_key(|n| std::cmp::Reverse(height[n.index()]));
 
         let mut queue: VecDeque<NodeId> = order.iter().copied().collect();
         let mut ripups = 0u32;
 
         while let Some(n) = queue.pop_front() {
-            if budget.expired() {
-                return None;
+            if ctx.budget.expired() {
+                return Ok(None);
             }
             if state.placed(n).is_some() {
                 continue;
@@ -84,11 +88,11 @@ impl Ramp {
             // retry with this op first.
             ripups += 1;
             if ripups > self.max_ripups {
-                return None;
+                return Ok(None);
             }
             let victims = self.pick_victims(&state, n, est);
             if victims.is_empty() {
-                return None; // nothing to rip up: genuinely stuck
+                return Ok(None); // nothing to rip up: genuinely stuck
             }
             for v in &victims {
                 state.unplace(*v);
@@ -101,9 +105,11 @@ impl Ramp {
                 queue.push_back(v);
             }
         }
-        state.into_mapping()
+        Ok(state.into_mapping())
     }
+}
 
+impl Ramp {
     /// Victims: placed ops occupying the failed op's preferred PEs in
     /// its preferred time band.
     fn pick_victims(&self, state: &SchedState<'_>, n: NodeId, est: u32) -> Vec<NodeId> {
@@ -124,45 +130,13 @@ impl Ramp {
     }
 }
 
-impl Mapper for Ramp {
-    fn name(&self) -> &'static str {
-        "ramp"
-    }
-
-    fn family(&self) -> Family {
-        Family::Heuristic
-    }
-
-    fn map(&self, dfg: &Dfg, fabric: &Fabric, cfg: &MapConfig) -> Result<Mapping, MapError> {
-        dfg.validate()
-            .map_err(|e| MapError::Unsupported(e.to_string()))?;
-        let mii = super::ModuloList::mii(dfg, fabric);
-        let (min_ii, max_ii) = cfg.ii_range_for(dfg, mii, fabric)?;
-        let topo = cfg.topo_for(fabric);
-        let budget = cfg.run_budget();
-        for ii in min_ii..=max_ii {
-            cfg.ledger.ii_attempt("ramp", ii);
-            if let Some(m) = self.try_ii(dfg, fabric, ii, &topo, &budget, &cfg.telemetry) {
-                cfg.telemetry.bump(Counter::Incumbents);
-                cfg.ledger.incumbent("ramp", ii, ii as f64);
-                return Ok(m);
-            }
-            if budget.expired_now() {
-                return Err(budget.error());
-            }
-        }
-        Err(MapError::infeasible(format!(
-            "no II in {min_ii}..={max_ii} admits a schedule"
-        )))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mapper::MapConfig;
     use crate::metrics::Metrics;
     use crate::validate::validate;
-    use cgra_arch::Topology;
+    use cgra_arch::{Fabric, Topology};
     use cgra_ir::kernels;
 
     #[test]

@@ -22,12 +22,13 @@
 //! [`SatSolver::solve_with_assumptions`]. A refuted II retires its
 //! selector permanently, CEGAR no-goods accumulate under the selector
 //! of the II they belong to, and variable activities and saved phases
-//! carry from the II=k refutation into the II=k+1 search. The solver is
-//! parked in [`MapConfig::incr`](crate::IncrementalCtx) between calls,
-//! keyed by fabric fingerprint, kernel fingerprint, and the encoding
-//! knobs, so re-mapping the same kernel resumes with every layer
-//! already encoded, every learnt clause intact, and refuted IIs
-//! answered without a solve. Each II's own candidate list inside the
+//! carry from the II=k refutation into the II=k+1 search. The sweep's
+//! `finish` hook parks each chunk's solver in
+//! [`MapConfig::incr`](crate::IncrementalCtx), keyed by fabric
+//! fingerprint, kernel fingerprint, and the encoding knobs, so
+//! re-mapping the same kernel resumes with every layer already encoded,
+//! every learnt clause intact, and refuted IIs answered without a
+//! solve. Each II's own candidate list inside the
 //! union is exactly the from-scratch [`PositionSpace`], so both paths
 //! see the same feasible set per II and achieve identical IIs.
 
@@ -35,15 +36,17 @@ use super::exact_common::{add_solver_stats, edge_compatible, realise, PositionSp
 use crate::diagnosis::{cap_list, cell_name, op_name, Diagnosis, ResourceClass};
 use crate::engine::Budget;
 use crate::incremental::{kernel_fingerprint, IncrKey};
-use crate::ledger::Ledger;
 use crate::mapper::{Family, MapConfig, MapError, Mapper};
 use crate::mapping::Mapping;
-use crate::telemetry::{Counter, Phase, Telemetry};
+use crate::sweep::{SweepCtx, TemporalMapper};
+use crate::telemetry::Counter;
 use cgra_arch::{Fabric, PeId, TopologyCache};
 use cgra_ir::{Dfg, NodeId};
 use cgra_solver::cnf::{at_most_one, exactly_one, AmoEncoding};
 use cgra_solver::{Interrupt, Lit, SatResult, SatSolver};
+use std::any::Any;
 use std::collections::{BTreeMap, HashSet};
+use std::sync::Mutex;
 
 /// The SAT mapper.
 #[derive(Debug, Clone)]
@@ -88,6 +91,19 @@ struct SweepState {
     encoded: Vec<bool>,
     /// IIs proven UNSAT (their selector has been retired).
     infeasible: Vec<bool>,
+}
+
+/// One incremental sweep's solvers: a [`SweepState`] per chunk, taken
+/// from the pool when the sweep first reaches the chunk and parked back
+/// by `finish`.
+struct SatSweep {
+    chunks: Vec<Chunk>,
+}
+
+struct Chunk {
+    key: IncrKey,
+    iis: Vec<u32>,
+    state: Mutex<Option<Box<SweepState>>>,
 }
 
 impl SatMapper {
@@ -216,22 +232,29 @@ impl SatMapper {
     /// One II attempt on the persistent solver: solve under this II's
     /// selector, realise models, block routing failures under the same
     /// selector (a no-good at II=k says nothing about II=k+1).
-    #[allow(clippy::too_many_arguments)]
     fn try_ii_incremental(
         &self,
         st: &mut SweepState,
         k: usize,
-        dfg: &Dfg,
-        fabric: &Fabric,
-        topo: &TopologyCache,
-        budget: &Budget,
-        tele: &Telemetry,
-        ledger: &Ledger,
+        ctx: &SweepCtx<'_>,
     ) -> Result<Option<Mapping>, MapError> {
+        st.solver.interrupt = ctx.budget.interrupt();
+        let out = self.solve_layer(st, k, ctx);
+        // Detach the per-run stop signal: the budget dies with this
+        // attempt, the solver state does not.
+        st.solver.interrupt = Interrupt::none();
+        out
+    }
+
+    fn solve_layer(
+        &self,
+        st: &mut SweepState,
+        k: usize,
+        ctx: &SweepCtx<'_>,
+    ) -> Result<Option<Mapping>, MapError> {
+        let (dfg, fabric, topo, budget, tele) =
+            (ctx.dfg, ctx.fabric, &*ctx.topo, &ctx.budget, ctx.telemetry);
         let ii = st.space.iis[k];
-        tele.bump(Counter::IiAttempts);
-        ledger.ii_attempt("sat", ii);
-        let _span = tele.span_ii(Phase::Map, ii);
         if st.infeasible[k] {
             return Ok(None);
         }
@@ -259,7 +282,7 @@ impl SatMapper {
                     SatResult::Unknown => break 'cegar Err(budget.error()),
                     SatResult::Sat(model) => {
                         tele.bump(Counter::Incumbents);
-                        ledger.incumbent("sat", ii, round as f64);
+                        ctx.ledger.incumbent("sat", ii, round as f64);
                         let chosen: Vec<(PeId, u32)> = st.space.member[k]
                             .iter()
                             .enumerate()
@@ -298,83 +321,10 @@ impl SatMapper {
         result
     }
 
-    /// The incremental bottom-up sweep: take (or build) the persistent
-    /// solver, walk the candidate IIs under per-II assumptions, and
-    /// park the state back in the pool for the next call.
-    fn map_incremental(
-        &self,
-        dfg: &Dfg,
-        fabric: &Fabric,
-        cfg: &MapConfig,
-        min_ii: u32,
-        max_ii: u32,
-    ) -> Result<Mapping, MapError> {
-        let topo = cfg.topo_for(fabric);
-        let budget = cfg.run_budget();
-        let all: Vec<u32> = (min_ii..=max_ii).collect();
-        let kernel_fp = kernel_fingerprint(dfg);
-        for chunk in all.chunks(SWEEP_CHUNK) {
-            let key = IncrKey {
-                mapper: "sat",
-                fabric_fp: topo.fingerprint64(),
-                kernel_fp,
-                knobs: self.knobs(cfg, chunk[0], *chunk.last().unwrap()),
-            };
-            let mut st = cfg
-                .incr
-                .take_as::<SweepState>(&key)
-                .unwrap_or_else(|| Box::new(self.build_state(dfg, fabric, chunk)));
-            st.solver.interrupt = budget.interrupt();
-            let mut outcome: Option<Result<Mapping, MapError>> = None;
-            for k in 0..chunk.len() {
-                match self.try_ii_incremental(
-                    &mut st,
-                    k,
-                    dfg,
-                    fabric,
-                    &topo,
-                    &budget,
-                    &cfg.telemetry,
-                    &cfg.ledger,
-                ) {
-                    Ok(Some(m)) => {
-                        outcome = Some(Ok(m));
-                        break;
-                    }
-                    Ok(None) => {}
-                    Err(e) => {
-                        outcome = Some(Err(e));
-                        break;
-                    }
-                }
-            }
-            // Detach the per-run stop signal before pooling: the budget
-            // dies with this call, the solver state does not.
-            st.solver.interrupt = Interrupt::none();
-            cfg.incr.put(key, st);
-            if let Some(out) = outcome {
-                return out;
-            }
-        }
-        Err(MapError::infeasible(format!(
-            "UNSAT for every II in {min_ii}..={max_ii} (within the candidate window)"
-        )))
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn try_ii(
-        &self,
-        dfg: &Dfg,
-        fabric: &Fabric,
-        ii: u32,
-        topo: &TopologyCache,
-        budget: &Budget,
-        tele: &Telemetry,
-        ledger: &Ledger,
-    ) -> Result<Option<Mapping>, MapError> {
-        tele.bump(Counter::IiAttempts);
-        ledger.ii_attempt("sat", ii);
-        let _span = tele.span_ii(Phase::Map, ii);
+    /// One II attempt on a fresh from-scratch encoding.
+    fn try_ii_scratch(&self, ctx: &SweepCtx<'_>, ii: u32) -> Result<Option<Mapping>, MapError> {
+        let (dfg, fabric, topo, budget, tele) =
+            (ctx.dfg, ctx.fabric, &*ctx.topo, &ctx.budget, ctx.telemetry);
         let space = PositionSpace::build(dfg, fabric, ii, self.window_iis, self.position_cap);
         let mut solver = SatSolver::new();
         solver.interrupt = budget.interrupt();
@@ -437,7 +387,7 @@ impl SatMapper {
                         // Each model is an anytime incumbent placement;
                         // cost = CEGAR rounds spent reaching it.
                         tele.bump(Counter::Incumbents);
-                        ledger.incumbent("sat", ii, round as f64);
+                        ctx.ledger.incumbent("sat", ii, round as f64);
                         let chosen: Vec<(PeId, u32)> = space
                             .positions
                             .iter()
@@ -666,31 +616,6 @@ impl SatMapper {
             }
         }
     }
-
-    /// Attach a probe-derived [`Diagnosis`] to a bare infeasibility
-    /// when forensics are on (an error that already carries one — e.g.
-    /// from the empty-II-range analysis — passes through untouched).
-    fn explain_failure(
-        &self,
-        err: MapError,
-        dfg: &Dfg,
-        fabric: &Fabric,
-        cfg: &MapConfig,
-        mii: u32,
-        probe_ii: u32,
-    ) -> MapError {
-        match err {
-            MapError::Infeasible(mut inf) if cfg.explain && inf.diagnosis.is_none() => {
-                let topo = cfg.topo_for(fabric);
-                let budget = cfg.run_budget();
-                inf.diagnosis = Some(Box::new(
-                    self.diagnose_ii(dfg, fabric, probe_ii, mii, &topo, &budget),
-                ));
-                MapError::Infeasible(inf)
-            }
-            other => other,
-        }
-    }
 }
 
 impl Mapper for SatMapper {
@@ -702,35 +627,72 @@ impl Mapper for SatMapper {
         Family::ExactCsp
     }
 
-    fn map(&self, dfg: &Dfg, fabric: &Fabric, cfg: &MapConfig) -> Result<Mapping, MapError> {
-        dfg.validate()
-            .map_err(|e| MapError::Unsupported(e.to_string()))?;
-        let mii = super::ModuloList::mii(dfg, fabric);
-        let (min_ii, max_ii) = cfg.ii_range_for(dfg, mii, fabric)?;
-        if cfg.incremental {
-            return self
-                .map_incremental(dfg, fabric, cfg, min_ii, max_ii)
-                .map_err(|e| self.explain_failure(e, dfg, fabric, cfg, mii, max_ii));
+    fn temporal(&self) -> Option<&dyn TemporalMapper> {
+        Some(self)
+    }
+}
+
+impl TemporalMapper for SatMapper {
+    fn prepare(&self, ctx: &SweepCtx<'_>) -> Option<Box<dyn Any + Send + Sync>> {
+        if !ctx.cfg.incremental {
+            return None;
         }
-        let topo = cfg.topo_for(fabric);
-        let budget = cfg.run_budget();
-        for ii in min_ii..=max_ii {
-            match self.try_ii(dfg, fabric, ii, &topo, &budget, &cfg.telemetry, &cfg.ledger) {
-                Ok(Some(m)) => return Ok(m),
-                Ok(None) => {}
-                Err(e) => return Err(e),
+        let all: Vec<u32> = (ctx.lo..=ctx.hi).collect();
+        let kernel_fp = kernel_fingerprint(ctx.dfg);
+        let chunks = all
+            .chunks(SWEEP_CHUNK)
+            .map(|iis| Chunk {
+                key: IncrKey {
+                    mapper: "sat",
+                    fabric_fp: ctx.topo.fingerprint64(),
+                    kernel_fp,
+                    knobs: self.knobs(ctx.cfg, iis[0], iis[iis.len() - 1]),
+                },
+                iis: iis.to_vec(),
+                state: Mutex::new(None),
+            })
+            .collect();
+        Some(Box::new(SatSweep { chunks }))
+    }
+
+    fn try_ii(&self, ctx: &SweepCtx<'_>, ii: u32) -> Result<Option<Mapping>, MapError> {
+        let Some(sweep) = ctx.state::<SatSweep>() else {
+            return self.try_ii_scratch(ctx, ii);
+        };
+        let offset = (ii - ctx.lo) as usize;
+        let chunk = &sweep.chunks[offset / SWEEP_CHUNK];
+        match chunk.state.try_lock() {
+            Ok(mut slot) => {
+                let st = slot.get_or_insert_with(|| {
+                    ctx.cfg
+                        .incr
+                        .take_as::<SweepState>(&chunk.key)
+                        .unwrap_or_else(|| {
+                            Box::new(self.build_state(ctx.dfg, ctx.fabric, &chunk.iis))
+                        })
+                });
+                self.try_ii_incremental(st, offset % SWEEP_CHUNK, ctx)
+            }
+            // A concurrent per-II job holds this chunk's solver: solve
+            // this II on a private one-II state instead.
+            Err(_) => {
+                let mut st = self.build_state(ctx.dfg, ctx.fabric, &[ii]);
+                self.try_ii_incremental(&mut st, 0, ctx)
             }
         }
-        Err(self.explain_failure(
-            MapError::infeasible(format!(
-                "UNSAT for every II in {min_ii}..={max_ii} (within the candidate window)"
-            )),
-            dfg,
-            fabric,
-            cfg,
-            mii,
-            max_ii,
-        ))
+    }
+
+    fn finish(&self, ctx: &SweepCtx<'_>) {
+        // A chunk whose solver was poisoned mid-solve is not parked.
+        for chunk in ctx.state::<SatSweep>().map_or(&[][..], |s| &s.chunks) {
+            if let Some(st) = chunk.state.lock().ok().and_then(|mut slot| slot.take()) {
+                ctx.cfg.incr.put(chunk.key, st);
+            }
+        }
+    }
+
+    fn diagnose(&self, ctx: &SweepCtx<'_>, ii: u32) -> Option<Diagnosis> {
+        Some(self.diagnose_ii(ctx.dfg, ctx.fabric, ii, ctx.mii, &ctx.topo, &ctx.budget))
     }
 }
 

@@ -215,7 +215,13 @@ impl Mapper for SmtMapper {
             ) {
                 Ok(Some(m)) => return Ok(m),
                 Ok(None) => {}
-                Err(e) => return Err(e),
+                Err(e) => {
+                    // The sweep driver's timeout rule, for this horizon loop.
+                    if e == MapError::Timeout {
+                        cfg.ledger.budget_exhausted("smt");
+                    }
+                    return Err(e);
+                }
             }
             if h == fabric.context_depth {
                 break;

@@ -11,8 +11,19 @@ use crate::mapping::{Mapping, Placement, Route};
 use crate::route::{find_route_with, RouteOpts, RouterScratch};
 use crate::telemetry::{Counter, Phase, Telemetry};
 use cgra_arch::{Fabric, PeId, SpaceTime, TopologyCache};
-use cgra_ir::{Dfg, EdgeId, NodeId};
+use cgra_ir::{graph, Dfg, EdgeId, NodeId, OpKind};
 use std::collections::HashSet;
+
+/// The list-scheduling priority of the constructive mappers: operations
+/// in topological order, stably re-sorted by descending height. `None`
+/// when the DFG has no topological order.
+pub(crate) fn height_order(dfg: &Dfg, fabric: &Fabric) -> Option<Vec<NodeId>> {
+    let lat = |op: OpKind| fabric.latency_of(op);
+    let height = graph::height(dfg, &lat);
+    let mut order = dfg.topo_order().ok()?;
+    order.sort_by_key(|n| std::cmp::Reverse(height[n.index()]));
+    Some(order)
+}
 
 pub(crate) struct SchedState<'a> {
     pub dfg: &'a Dfg,

@@ -15,7 +15,7 @@ use cgra_arch::{Fabric, Topology};
 use cgra_ir::kernels;
 use cgra_mapper_core::prelude::*;
 use proptest::prelude::*;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn mesh() -> Fabric {
     Fabric::homogeneous(4, 4, Topology::Mesh)
@@ -61,6 +61,60 @@ fn same_seed_runs_emit_identical_ledgers() {
             "{}: an instrumented mapper must journal at least one event",
             spec.name
         );
+        // On a timed-out run the sequential and the per-II parallel
+        // sweep follow one budget rule: the same event kinds, in the
+        // same order.
+        if !spec.spatial {
+            let seq = timed_out_kinds(spec, false);
+            assert_eq!(seq, timed_out_kinds(spec, true), "{}", spec.name);
+            assert!(seq.contains(&"budget_exhausted"), "{}: {seq:?}", spec.name);
+        }
+    }
+}
+
+/// Event kinds of a run whose budget expired before it started.
+fn timed_out_kinds(spec: &MapperSpec, parallel: bool) -> Vec<&'static str> {
+    let ledger = Ledger::enabled();
+    let cfg = MapConfig {
+        ledger: ledger.clone(),
+        budget: Budget::until(Instant::now() - Duration::from_millis(1)),
+        ..MapConfig::fast()
+    };
+    let (dfg, fabric, mapper) = (kernels::fir(4), mesh(), spec.build());
+    let out = if parallel {
+        parallel_ii(&*mapper, &dfg, &fabric, &cfg)
+    } else {
+        mapper.map(&dfg, &fabric, &cfg)
+    };
+    assert_eq!(out.err(), Some(MapError::Timeout), "{}", spec.name);
+    ledger.events().iter().map(|e| e.kind.label()).collect()
+}
+
+/// The `ii_attempts` counter and the journal count the same thing: one
+/// per II probed. fir4 on a 4x4 mesh makes HiMap grow its region radius
+/// inside an II, which must not count as another attempt.
+#[test]
+fn ii_attempt_counter_matches_journal() {
+    for spec in MapperRegistry::standard().specs() {
+        if spec.spatial {
+            continue;
+        }
+        let ledger = Ledger::enabled();
+        let cfg = MapConfig {
+            telemetry: Telemetry::enabled(),
+            ledger: ledger.clone(),
+            time_limit: Duration::from_secs(3),
+            ..MapConfig::fast()
+        };
+        let _ = spec.build().map(&kernels::fir(4), &mesh(), &cfg);
+        let journaled = ledger
+            .events()
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::IiAttempt { .. }))
+            .count() as u64;
+        let counted = cfg.telemetry.snapshot().unwrap().ii_attempts;
+        assert!(journaled >= 1, "{}: no attempt journaled", spec.name);
+        assert_eq!(counted, journaled, "{}", spec.name);
     }
 }
 
