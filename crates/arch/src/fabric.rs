@@ -22,7 +22,7 @@ impl fmt::Display for PeId {
 }
 
 /// What a cell's functional unit can do.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct CellCaps {
     /// Plain ALU operations (always true in practice).
     pub alu: bool,
@@ -55,7 +55,7 @@ impl CellCaps {
 }
 
 /// Operand-network topologies from the literature.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Topology {
     /// 4-neighbour 2-D mesh (N/S/E/W) — ADRES/MorphoSys baseline.
     Mesh,
@@ -68,8 +68,44 @@ pub enum Topology {
     OneHop,
 }
 
+impl Topology {
+    /// The lowercase wire label: `mesh`, `meshplus`, `torus`, `onehop`
+    /// (the `--topology` values and cache-key spelling).
+    pub fn label(self) -> &'static str {
+        match self {
+            Topology::Mesh => "mesh",
+            Topology::MeshPlus => "meshplus",
+            Topology::Torus => "torus",
+            Topology::OneHop => "onehop",
+        }
+    }
+
+    /// Parse a topology from its label or its serialized variant name
+    /// (`"mesh"` or `"Mesh"`).
+    pub fn from_label(s: &str) -> Option<Topology> {
+        match s {
+            "mesh" | "Mesh" => Some(Topology::Mesh),
+            "meshplus" | "MeshPlus" => Some(Topology::MeshPlus),
+            "torus" | "Torus" => Some(Topology::Torus),
+            "onehop" | "OneHop" => Some(Topology::OneHop),
+            _ => None,
+        }
+    }
+}
+
+// Hand-written so a topology decodes from either spelling
+// [`Topology::from_label`] accepts; the derived `Serialize` writes the
+// variant name.
+impl Deserialize for Topology {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let s = String::from_value(v)?;
+        Topology::from_label(&s)
+            .ok_or_else(|| serde::Error::custom(format!("unknown topology `{s}`")))
+    }
+}
+
 /// Where stream I/O operations may be placed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum IoPolicy {
     /// Only border cells have stream ports (common in tiled CGRAs).
     BorderOnly,
@@ -78,7 +114,7 @@ pub enum IoPolicy {
 }
 
 /// Per-operation-class latencies (issue → result available), in cycles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct LatencyModel {
     pub alu: u32,
     pub mul: u32,
@@ -120,7 +156,7 @@ impl LatencyModel {
 }
 
 /// A CGRA fabric description. See the crate docs for the model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Fabric {
     pub name: String,
     pub rows: u16,

@@ -12,9 +12,10 @@
 //!                                      also fail cells >50% slower in wall
 //! ```
 //!
-//! The gate ignores cells present on only one side (suite drift is a
-//! review concern, not a regression), so baselines stay usable while
-//! the kernel suite grows.
+//! The gate ignores current cells the baseline lacks, so baselines
+//! stay usable while the kernel suite grows. It fails when a baseline
+//! file is not a readable RunReport or a baseline cell has no current
+//! report, so the gate can never shrink silently.
 
 use cgra::cli::{EXIT_FAILURE, EXIT_USAGE};
 use cgra::mapper::ledger::LedgerEvent;
@@ -47,8 +48,9 @@ fn usage() -> &'static str {
      RunReport JSON artifacts. With --heatmap, also renders ASCII fabric\n\
      utilization heatmaps for every successful cell. With --baseline,\n\
      diffs DIR against BASE_DIR and exits non-zero when any (kernel,\n\
-     arch, mapper) cell regresses: a lost mapping, a worse II, or (with\n\
-     --max-slowdown) a wall-time slowdown beyond PCT percent.\n\
+     arch, mapper) cell regresses: a lost mapping, a worse II, a cell\n\
+     missing from DIR, or (with --max-slowdown) a wall-time slowdown\n\
+     beyond PCT percent. Every *.json in BASE_DIR must be a RunReport.\n\
      \n\
      With --serve-log, reads a cgra-serve access log (one JSON record\n\
      per request) and renders the service view instead: hit rate over\n\
@@ -97,9 +99,13 @@ fn parse_args() -> Result<Options, String> {
     Ok(opts)
 }
 
-fn load(dir: &str) -> Result<Vec<RunReport>, String> {
-    let reports =
-        RunReport::load_dir(std::path::Path::new(dir)).map_err(|e| format!("{dir}: {e}"))?;
+/// Load the reports in `dir` with `loader` (lenient for results,
+/// strict for baselines).
+fn load(
+    dir: &str,
+    loader: fn(&std::path::Path) -> Result<Vec<RunReport>, String>,
+) -> Result<Vec<RunReport>, String> {
+    let reports = loader(std::path::Path::new(dir)).map_err(|e| format!("{dir}: {e}"))?;
     if reports.is_empty() {
         return Err(format!("{dir}: no run reports found"));
     }
@@ -268,7 +274,8 @@ fn load_serve_log(path: &str) -> Result<Vec<AccessRecord>, String> {
             continue;
         }
         let value = serde_json::from_str(line).map_err(|e| format!("{path}:{}: {e}", n + 1))?;
-        let rec = AccessRecord::from_json(&value).map_err(|e| format!("{path}:{}: {e}", n + 1))?;
+        let rec: AccessRecord =
+            serde_json::from_value(value).map_err(|e| format!("{path}:{}: {e}", n + 1))?;
         recs.push(rec);
     }
     if recs.is_empty() {
@@ -496,6 +503,8 @@ struct Regression {
 }
 
 /// Diff current against baseline; returns regressions (gate failures).
+/// A baseline cell with no current report is one: a gate must not
+/// shrink silently.
 fn diff(
     baseline: &[RunReport],
     current: &[RunReport],
@@ -537,6 +546,13 @@ fn diff(
             }
         }
     }
+    let seen: std::collections::BTreeSet<_> = current.iter().map(key).collect();
+    for k in base.keys().filter(|k| !seen.contains(*k)) {
+        regressions.push(Regression {
+            cell: k.clone(),
+            what: "baseline cell has no current report".to_string(),
+        });
+    }
     println!(
         "\nbaseline gate: {matched} cells compared, {improvements} improved, {} regressed",
         regressions.len()
@@ -574,7 +590,7 @@ fn main() -> ExitCode {
         };
     }
     let dir = opts.dir.as_deref().expect("checked in parse_args");
-    let current = match load(dir) {
+    let current = match load(dir, RunReport::load_dir) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("{e}");
@@ -612,7 +628,7 @@ fn main() -> ExitCode {
     }
 
     if let Some(base_dir) = &opts.baseline {
-        let baseline = match load(base_dir) {
+        let baseline = match load(base_dir, RunReport::load_dir_strict) {
             Ok(r) => r,
             Err(e) => {
                 eprintln!("{e}");

@@ -129,13 +129,9 @@ fn parse_args() -> Result<Options, String> {
                 opts.cols = c.parse().map_err(|_| format!("bad cols `{c}`"))?;
             }
             "--topology" => {
-                opts.topology = match need("--topology")?.as_str() {
-                    "mesh" => Topology::Mesh,
-                    "meshplus" => Topology::MeshPlus,
-                    "torus" => Topology::Torus,
-                    "onehop" => Topology::OneHop,
-                    other => return Err(format!("unknown topology `{other}`")),
-                }
+                let t = need("--topology")?;
+                opts.topology =
+                    Topology::from_label(&t).ok_or_else(|| format!("unknown topology `{t}`"))?;
             }
             "--adres" => opts.adres = true,
             "--mapper" => opts.mapper = need("--mapper")?,

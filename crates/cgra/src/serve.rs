@@ -30,7 +30,8 @@ use cgra_mapper_core::fleet::{self, FleetFabric};
 use cgra_mapper_core::request::{FabricSpec, MapOutcome, MapRequest, RequestError};
 use cgra_mapper_core::servemetrics::{AccessLog, AccessRecord, ServiceMetrics};
 use cgra_mapper_core::service::{MapService, ServiceOptions, ServiceStats};
-use serde::{Serialize, Value};
+use serde::de::field;
+use serde::{Deserialize, Serialize, Value};
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -58,57 +59,32 @@ pub enum Op {
 }
 
 impl Op {
-    /// Decode one request line.
+    /// Decode one request line; the error names the offending field
+    /// (`request.fabric.rows: 65538 out of range for u16`).
     pub fn from_json(v: &Value) -> Result<Op, RequestError> {
-        let op = v
-            .get("op")
-            .and_then(|o| o.as_str())
-            .ok_or("request needs a string `op` field")?;
-        match op {
-            "map" => {
-                let req = v.get("request").ok_or("op `map` needs a `request` field")?;
-                Ok(Op::Map(Box::new(MapRequest::from_json(req)?)))
-            }
-            "batch" => {
-                let reqs = v
-                    .get("requests")
-                    .and_then(|r| r.as_array())
-                    .ok_or("op `batch` needs a `requests` array")?;
-                let reqs: Result<Vec<MapRequest>, RequestError> =
-                    reqs.iter().map(MapRequest::from_json).collect();
-                Ok(Op::Batch(reqs?))
-            }
-            "cancel" => {
-                let id = v
-                    .get("id")
-                    .and_then(|i| i.as_u64())
-                    .ok_or("op `cancel` needs a numeric `id`")?;
-                Ok(Op::Cancel(id))
-            }
-            "stats" => Ok(Op::Stats),
-            "metrics" => Ok(Op::Metrics),
-            "fleet" => {
-                let reqs = v
-                    .get("requests")
-                    .and_then(|r| r.as_array())
-                    .ok_or("op `fleet` needs a `requests` array")?;
-                let requests: Result<Vec<MapRequest>, RequestError> =
-                    reqs.iter().map(MapRequest::from_json).collect();
-                let fabs = v
-                    .get("fabrics")
-                    .and_then(|f| f.as_array())
-                    .ok_or("op `fleet` needs a `fabrics` array")?;
-                let fabrics: Result<Vec<FabricSpec>, RequestError> =
-                    fabs.iter().map(FabricSpec::from_json).collect();
-                Ok(Op::Fleet {
-                    requests: requests?,
-                    fabrics: fabrics?,
-                })
-            }
-            "ping" => Ok(Op::Ping),
-            "shutdown" => Ok(Op::Shutdown),
-            other => Err(RequestError(format!("unknown op `{other}`"))),
-        }
+        Op::from_value(v).map_err(|e| RequestError(e.to_string()))
+    }
+}
+
+// Hand-written: the protocol dispatches on the `op` tag with the
+// payload fields beside it, not the derive's externally tagged form.
+impl Deserialize for Op {
+    fn from_value(v: &Value) -> Result<Op, serde::Error> {
+        let op: String = field(v, "op")?;
+        Ok(match op.as_str() {
+            "map" => Op::Map(field(v, "request")?),
+            "batch" => Op::Batch(field(v, "requests")?),
+            "cancel" => Op::Cancel(field(v, "id")?),
+            "stats" => Op::Stats,
+            "metrics" => Op::Metrics,
+            "fleet" => Op::Fleet {
+                requests: field(v, "requests")?,
+                fabrics: field(v, "fabrics")?,
+            },
+            "ping" => Op::Ping,
+            "shutdown" => Op::Shutdown,
+            other => return Err(serde::Error::custom(format!("unknown op `{other}`"))),
+        })
     }
 }
 
@@ -574,8 +550,7 @@ impl Client {
             ("op".into(), Value::Str("map".into())),
             ("request".into(), req.to_value()),
         ]))?;
-        let out = v.get("outcome").ok_or("response missing `outcome`")?;
-        MapOutcome::from_json(out)
+        decode(&v, "outcome")
     }
 
     /// Map a batch; outcomes come back in request order.
@@ -587,11 +562,7 @@ impl Client {
                 Value::Array(reqs.iter().map(|r| r.to_value()).collect()),
             ),
         ]))?;
-        let outs = v
-            .get("outcomes")
-            .and_then(|o| o.as_array())
-            .ok_or("response missing `outcomes`")?;
-        outs.iter().map(MapOutcome::from_json).collect()
+        decode(&v, "outcomes")
     }
 
     /// Cancel an in-flight request by id.
@@ -611,8 +582,7 @@ impl Client {
             "op".into(),
             Value::Str("stats".into()),
         )]))?;
-        let s = v.get("stats").ok_or("response missing `stats`")?;
-        service_stats_from_json(s)
+        decode(&v, "stats")
     }
 
     /// Fetch the Prometheus text-format metrics payload over the wire
@@ -670,34 +640,9 @@ impl Client {
     }
 }
 
-/// Parse a [`ServiceStats`] snapshot off the wire. The original seven
-/// counters are required; the observability fields added with the
-/// telemetry layer default to 0, so a new client still reads an old
-/// server's snapshot.
-pub fn service_stats_from_json(v: &Value) -> Result<ServiceStats, RequestError> {
-    let field = |name: &str| -> Result<u64, RequestError> {
-        v.get(name)
-            .and_then(|f| f.as_u64())
-            .ok_or_else(|| RequestError(format!("stats missing `{name}`")))
-    };
-    let opt = |name: &str| v.get(name).and_then(|f| f.as_u64()).unwrap_or(0);
-    Ok(ServiceStats {
-        requests: field("requests")?,
-        hits: field("hits")?,
-        misses: field("misses")?,
-        warm: field("warm")?,
-        coalesced: opt("coalesced"),
-        evictions: opt("evictions"),
-        disk_spills: opt("disk_spills"),
-        cancellations: opt("cancellations"),
-        rejections: opt("rejections"),
-        cache_entries: field("cache_entries")?,
-        pooled_states: field("pooled_states")?,
-        running: field("running")?,
-        in_flight: opt("in_flight"),
-        queue_depth: opt("queue_depth"),
-        cores: opt("cores"),
-    })
+/// Decode field `name` of a response.
+fn decode<T: Deserialize>(response: &Value, name: &str) -> Result<T, RequestError> {
+    field(response, name).map_err(|e| RequestError(format!("response: {e}")))
 }
 
 #[cfg(test)]
@@ -721,6 +666,36 @@ mod tests {
         assert!(Op::from_json(&v).is_err());
         let v = serde_json::from_str(r#"{"op":"map"}"#).unwrap();
         assert!(Op::from_json(&v).is_err());
+        // A malformed known field is a typed error naming its path, not
+        // a wrapped or defaulted value.
+        for (request, path) in [
+            (
+                r#"{"kernel":{"named":"fir4"},"fabric":{"rows":65538}}"#,
+                "request.fabric.rows",
+            ),
+            (
+                r#"{"kernel":{"named":"fir4"},"fabric":{"rows":"8"}}"#,
+                "request.fabric.rows",
+            ),
+            (
+                r#"{"kernel":{"named":"fir4"},"config":{"max_ii":4294967297}}"#,
+                "request.config.max_ii",
+            ),
+        ] {
+            let line = format!(r#"{{"op":"map","request":{request}}}"#);
+            let err = Op::from_json(&serde_json::from_str(&line).unwrap()).unwrap_err();
+            assert!(err.0.starts_with(path), "{line}: {err}");
+        }
+        // Unknown fields are ignored and missing ones default.
+        let v = serde_json::from_str(
+            r#"{"op":"map","x":1,"request":{"kernel":{"named":"fir4"},"fabric":{"cols":2,"x":1}}}"#,
+        )
+        .unwrap();
+        let Op::Map(req) = Op::from_json(&v).unwrap() else {
+            panic!("not a map op");
+        };
+        assert_eq!((req.fabric.rows, req.fabric.cols), (4, 2));
+        assert_eq!(req.config, Default::default());
     }
 
     #[test]
@@ -890,7 +865,7 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         let recs: Vec<AccessRecord> = text
             .lines()
-            .map(|l| AccessRecord::from_json(&serde_json::from_str(l).unwrap()).unwrap())
+            .map(|l| AccessRecord::from_value(&serde_json::from_str(l).unwrap()).unwrap())
             .collect();
         assert_eq!(recs.len(), 2);
         assert_eq!(recs[0].cache, CacheStatus::Miss);

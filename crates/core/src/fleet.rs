@@ -482,7 +482,7 @@ impl FleetFabric {
             None => {}
             Some("adres") => spec.adres = true,
             Some(t) => {
-                spec.topology = crate::request::topology_from_label(t)
+                spec.topology = Topology::from_label(t)
                     .ok_or_else(|| FleetError(format!("fabric `{s}`: unknown topology `{t}`")))?;
             }
         }
@@ -495,12 +495,7 @@ pub fn fabric_label(spec: &FabricSpec) -> String {
     if spec.adres {
         format!("{}x{} adres", spec.rows, spec.cols)
     } else {
-        format!(
-            "{}x{} {}",
-            spec.rows,
-            spec.cols,
-            crate::request::topology_label(spec.topology)
-        )
+        format!("{}x{} {}", spec.rows, spec.cols, spec.topology.label())
     }
 }
 

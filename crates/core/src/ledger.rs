@@ -30,7 +30,8 @@
 //!    is causally consistent, so a same-seed run replays the same
 //!    event sequence (timestamps aside) — tested per registry mapper.
 
-use serde::{Serialize, Value};
+use serde::de::field;
+use serde::{Deserialize, Serialize, Value};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -140,47 +141,60 @@ impl LedgerEvent {
         Value::Object(pairs)
     }
 
-    /// Parse the flat rendering back. `None` on unknown or malformed
-    /// events, so readers skip what future versions may add.
-    pub fn from_json(v: &Value) -> Option<LedgerEvent> {
-        let t_us = v.get("t_us")?.as_u64()?;
-        let mapper = v.get("mapper")?.as_str()?.to_string();
-        let ii = || v.get("ii").and_then(Value::as_u64).map(|x| x as u32);
-        let kind = match v.get("event")?.as_str()? {
+    /// Decode the flat rendering of [`LedgerEvent::to_json`];
+    /// `Ok(None)` for an event kind this reader does not know.
+    fn decode(v: &Value) -> Result<Option<LedgerEvent>, serde::Error> {
+        let event: String = field(v, "event")?;
+        let mapper = field(v, "mapper")?;
+        let kind = match event.as_str() {
             "incumbent" => EventKind::Incumbent {
                 mapper,
-                ii: ii()?,
-                cost: v.get("cost").and_then(Value::as_f64).unwrap_or(0.0),
+                ii: field(v, "ii")?,
+                cost: field(v, "cost")?,
             },
             "race_start" => EventKind::RaceStart { mapper },
-            "race_win" => EventKind::RaceWin { mapper, ii: ii()? },
+            "race_win" => EventKind::RaceWin {
+                mapper,
+                ii: field(v, "ii")?,
+            },
             "race_loss" => EventKind::RaceLoss {
                 mapper,
-                reason: v
-                    .get("reason")
-                    .and_then(Value::as_str)
-                    .unwrap_or("")
-                    .to_string(),
+                reason: field(v, "reason")?,
             },
             "budget_exhausted" => EventKind::BudgetExhausted { mapper },
-            "ii_attempt" => EventKind::IiAttempt { mapper, ii: ii()? },
+            "ii_attempt" => EventKind::IiAttempt {
+                mapper,
+                ii: field(v, "ii")?,
+            },
             "request" => EventKind::Request {
                 mapper,
-                trace: v
-                    .get("trace")
-                    .and_then(Value::as_str)
-                    .unwrap_or("")
-                    .to_string(),
+                trace: field(v, "trace")?,
             },
-            _ => return None,
+            _ => return Ok(None),
         };
-        Some(LedgerEvent { t_us, kind })
+        let t_us = field(v, "t_us")?;
+        Ok(Some(LedgerEvent { t_us, kind }))
     }
 }
 
 impl Serialize for LedgerEvent {
     fn to_value(&self) -> Value {
         self.to_json()
+    }
+}
+
+// Hand-written: the flat `event`-tagged rows are not the derive's
+// externally tagged form.
+impl Deserialize for LedgerEvent {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let event = LedgerEvent::decode(v)?;
+        event.ok_or_else(|| serde::Error::custom("unknown event kind").at("event"))
+    }
+
+    /// Events of a kind this reader does not know are dropped, so
+    /// reports and outcomes from newer writers still load.
+    fn from_element(v: &Value) -> Result<Option<Self>, serde::Error> {
+        LedgerEvent::decode(v)
     }
 }
 
@@ -487,7 +501,7 @@ mod tests {
                 t_us: i as u64 * 10,
                 kind,
             };
-            let back = LedgerEvent::from_json(&e.to_json()).expect("parses");
+            let back = LedgerEvent::from_value(&e.to_json()).expect("parses");
             assert_eq!(back, e);
         }
     }
@@ -499,7 +513,8 @@ mod tests {
             ("event".into(), Value::Str("warp_drive".into())),
             ("mapper".into(), Value::Str("sa".into())),
         ]);
-        assert!(LedgerEvent::from_json(&v).is_none());
-        assert!(LedgerEvent::from_json(&Value::Null).is_none());
+        assert_eq!(LedgerEvent::from_element(&v), Ok(None));
+        assert!(LedgerEvent::from_value(&v).is_err());
+        assert!(LedgerEvent::from_value(&Value::Null).is_err());
     }
 }

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// The survey's Table I classification axes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum Family {
     /// Problem-specific constructive heuristics.
     Heuristic,

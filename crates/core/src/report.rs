@@ -9,10 +9,12 @@
 //! regression gate — and render as Chrome `trace_event` JSON
 //! ([`chrome_trace`]) loadable in `chrome://tracing` / Perfetto.
 //!
-//! Loading hand-parses `serde_json::Value` (the vendored serde has no
-//! typed deserialisation); unknown fields are ignored and missing
-//! optional fields default, so version-1 readers tolerate later
-//! additive changes.
+//! Loading goes through the derived `Deserialize` after a version
+//! gate. Unknown fields are ignored and fields added after version 1
+//! shipped (`diagnosis`, `latency`, `spans_dropped`, `utilization`,
+//! the newer counters) default when absent, so every version-1 report
+//! stays readable; a known field of the wrong type is an error naming
+//! it.
 
 use crate::diagnosis::Diagnosis;
 use crate::ledger::LedgerEvent;
@@ -20,13 +22,13 @@ use crate::mapper::MapConfig;
 use crate::metrics::{Metrics, UtilizationMap};
 use crate::telemetry::{Histogram, Phase, SpanRecord, StatsSnapshot, Telemetry};
 use serde::{Deserialize, Serialize, Value};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// Format version written into every report; bump on breaking changes.
 pub const RUN_REPORT_VERSION: u32 = 1;
 
 /// The reproducibility-relevant subset of [`MapConfig`].
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ConfigDigest {
     pub max_ii: u32,
     pub min_ii: u32,
@@ -45,18 +47,6 @@ impl ConfigDigest {
             time_limit_ms: cfg.time_limit.as_millis() as u64,
             seed: cfg.seed,
             effort: cfg.effort,
-        }
-    }
-
-    fn from_json(v: &Value) -> ConfigDigest {
-        let g = |k: &str| v.get(k).and_then(Value::as_u64).unwrap_or(0);
-        ConfigDigest {
-            max_ii: g("max_ii") as u32,
-            min_ii: g("min_ii") as u32,
-            horizon_factor: g("horizon_factor") as u32,
-            time_limit_ms: g("time_limit_ms"),
-            seed: g("seed"),
-            effort: g("effort") as u32,
         }
     }
 }
@@ -105,21 +95,10 @@ impl LatencySummary {
         }
         rows
     }
-
-    fn from_json(v: &Value) -> Option<LatencySummary> {
-        let g = |k: &str| v.get(k).and_then(Value::as_u64).unwrap_or(0);
-        Some(LatencySummary {
-            phase: v.get("phase")?.as_str()?.to_string(),
-            count: g("count"),
-            p50_us: g("p50_us"),
-            p90_us: g("p90_us"),
-            p99_us: g("p99_us"),
-        })
-    }
 }
 
 /// One mapping run, replayable offline.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RunReport {
     pub version: u32,
     /// Kernel name.
@@ -144,9 +123,11 @@ pub struct RunReport {
     pub events_dropped: u64,
     /// Phase spans discarded once the span log hit its cap (the
     /// latency summaries below remain exact regardless).
+    #[serde(default)]
     pub spans_dropped: u64,
     /// p50/p90/p99 latency rows per phase plus the route-call
     /// distribution (empty when telemetry was disabled).
+    #[serde(default)]
     pub latency: Vec<LatencySummary>,
     /// Per-cell occupancy of the final mapping, for heatmap rendering
     /// (`None` on failure or when not measured).
@@ -185,126 +166,57 @@ impl RunReport {
         std::fs::write(path, json + "\n").map_err(|e| format!("{}: {e}", path.display()))
     }
 
-    /// Read one report back. `Err` on unreadable files or on a version
-    /// this reader does not understand.
+    /// Read one report back. `Err` on unreadable files, on a version
+    /// this reader does not understand, or on a field that does not
+    /// decode.
     pub fn load(path: &Path) -> Result<RunReport, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
         let v = serde_json::from_str(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-        RunReport::from_json(&v).ok_or_else(|| {
-            format!(
-                "{}: not a RunReport (missing or unsupported fields)",
-                path.display()
-            )
-        })
+        RunReport::from_json(&v).map_err(|e| format!("{}: not a RunReport: {e}", path.display()))
     }
 
     /// Load every `*.json` RunReport in `dir`, sorted by file name.
     /// Non-report JSON files are skipped silently so a results
     /// directory can mix artifacts.
     pub fn load_dir(dir: &Path) -> Result<Vec<RunReport>, String> {
-        let mut paths: Vec<std::path::PathBuf> = std::fs::read_dir(dir)
-            .map_err(|e| format!("{}: {e}", dir.display()))?
-            .filter_map(|entry| entry.ok().map(|e| e.path()))
-            .filter(|p| p.extension().is_some_and(|ext| ext == "json"))
-            .collect();
-        paths.sort();
-        let mut reports = Vec::new();
-        for p in paths {
-            let Ok(text) = std::fs::read_to_string(&p) else {
-                continue;
-            };
-            if let Ok(v) = serde_json::from_str(&text) {
-                if let Some(r) = RunReport::from_json(&v) {
-                    reports.push(r);
-                }
-            }
-        }
-        Ok(reports)
+        Ok(json_files(dir)?
+            .iter()
+            .filter_map(|p| RunReport::load(p).ok())
+            .collect())
     }
 
-    /// Hand-parse a report from its JSON tree.
-    pub fn from_json(v: &Value) -> Option<RunReport> {
-        let version = v.get("version")?.as_u64()? as u32;
+    /// Load every `*.json` in `dir`, sorted by file name, failing on
+    /// the first one that is not a RunReport. For baselines, where a
+    /// skipped file would silently shrink the gate.
+    pub fn load_dir_strict(dir: &Path) -> Result<Vec<RunReport>, String> {
+        json_files(dir)?
+            .iter()
+            .map(|p| RunReport::load(p))
+            .collect()
+    }
+
+    /// Decode a report from its JSON tree, rejecting a version this
+    /// reader does not understand before decoding the rest.
+    pub fn from_json(v: &Value) -> Result<RunReport, serde::Error> {
+        let version: u32 = serde::de::field(v, "version")?;
         if version == 0 || version > RUN_REPORT_VERSION {
-            return None;
+            return Err(
+                serde::Error::custom(format!("unsupported version {version}")).at("version"),
+            );
         }
-        let s = |k: &str| v.get(k).and_then(Value::as_str).map(str::to_string);
-        let events = match v.get("events") {
-            Some(Value::Array(items)) => items.iter().filter_map(LedgerEvent::from_json).collect(),
-            _ => Vec::new(),
-        };
-        Some(RunReport {
-            version,
-            instance: s("instance")?,
-            arch: s("arch")?,
-            mapper: s("mapper")?,
-            config: v
-                .get("config")
-                .map(ConfigDigest::from_json)
-                .unwrap_or_else(|| ConfigDigest::of(&MapConfig::default())),
-            metrics: v.get("metrics").and_then(metrics_from_json),
-            error: s("error"),
-            diagnosis: v.get("diagnosis").and_then(Diagnosis::from_json),
-            compile_ms: v.get("compile_ms").and_then(Value::as_f64).unwrap_or(0.0),
-            snapshot: v.get("snapshot").and_then(snapshot_from_json),
-            events,
-            events_dropped: v.get("events_dropped").and_then(Value::as_u64).unwrap_or(0),
-            spans_dropped: v.get("spans_dropped").and_then(Value::as_u64).unwrap_or(0),
-            latency: match v.get("latency") {
-                Some(Value::Array(items)) => {
-                    items.iter().filter_map(LatencySummary::from_json).collect()
-                }
-                _ => Vec::new(),
-            },
-            utilization: v.get("utilization").and_then(UtilizationMap::from_json),
-        })
+        RunReport::from_value(v)
     }
 }
 
-fn metrics_from_json(v: &Value) -> Option<Metrics> {
-    Some(Metrics {
-        ii: v.get("ii")?.as_u64()? as u32,
-        schedule_len: v.get("schedule_len").and_then(Value::as_u64).unwrap_or(0) as u32,
-        fu_utilisation: v
-            .get("fu_utilisation")
-            .and_then(Value::as_f64)
-            .unwrap_or(0.0),
-        route_hops: v.get("route_hops").and_then(Value::as_u64).unwrap_or(0) as usize,
-        register_cycles: v
-            .get("register_cycles")
-            .and_then(Value::as_u64)
-            .unwrap_or(0) as usize,
-        peak_registers: v.get("peak_registers").and_then(Value::as_u64).unwrap_or(0) as u32,
-        throughput: v.get("throughput").and_then(Value::as_f64).unwrap_or(0.0),
-    })
-}
-
-fn snapshot_from_json(v: &Value) -> Option<StatsSnapshot> {
-    if !matches!(v, Value::Object(_)) {
-        return None;
-    }
-    let g = |k: &str| v.get(k).and_then(Value::as_u64).unwrap_or(0);
-    Some(StatsSnapshot {
-        ii_attempts: g("ii_attempts"),
-        placements_tried: g("placements_tried"),
-        backtracks: g("backtracks"),
-        routing_calls: g("routing_calls"),
-        routing_failures: g("routing_failures"),
-        moves_proposed: g("moves_proposed"),
-        moves_accepted: g("moves_accepted"),
-        nodes_expanded: g("nodes_expanded"),
-        nodes_pruned: g("nodes_pruned"),
-        solver_decisions: g("solver_decisions"),
-        solver_propagations: g("solver_propagations"),
-        solver_conflicts: g("solver_conflicts"),
-        solver_restarts: g("solver_restarts"),
-        solver_assumption_solves: g("solver_assumption_solves"),
-        solver_learnt_kept: g("solver_learnt_kept"),
-        solver_learnt_gcd: g("solver_learnt_gcd"),
-        solver_warm_pivots_saved: g("solver_warm_pivots_saved"),
-        cancellations: g("cancellations"),
-        incumbents: g("incumbents"),
-    })
+/// The `*.json` files in `dir`, sorted by name.
+fn json_files(dir: &Path) -> Result<Vec<PathBuf>, String> {
+    let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)
+        .map_err(|e| format!("{}: {e}", dir.display()))?
+        .filter_map(|entry| entry.ok().map(|e| e.path()))
+        .filter(|p| p.extension().is_some_and(|ext| ext == "json"))
+        .collect();
+    paths.sort();
+    Ok(paths)
 }
 
 /// Render phase spans plus ledger events as Chrome `trace_event` JSON
@@ -576,6 +488,9 @@ mod tests {
         std::fs::write(dir.join("notes.txt"), "ignored").unwrap();
         let loaded = RunReport::load_dir(&dir).unwrap();
         assert_eq!(loaded.len(), 1);
+        // A baseline directory may not hold anything but reports.
+        let strict = RunReport::load_dir_strict(&dir).unwrap_err();
+        assert!(strict.contains("other.json"), "{strict}");
         assert_eq!(loaded[0].mapper, "sa");
         let one = RunReport::load(&dir.join(format!("{}.json", r.file_stem()))).unwrap();
         assert_eq!(one.instance, "dot_product");
@@ -586,7 +501,49 @@ mod tests {
         let mut r = sample_report();
         r.version = RUN_REPORT_VERSION + 1;
         let v = serde_json::from_str(&serde_json::to_string(&r).unwrap()).unwrap();
-        assert!(RunReport::from_json(&v).is_none());
+        assert!(RunReport::from_json(&v).is_err());
+    }
+
+    /// Every field of `file` reappears with the same rendering in
+    /// `decoded` (which may carry more).
+    fn assert_carried(file: &Value, decoded: &Value, path: &str) {
+        match (file, decoded) {
+            (Value::Object(fields), Value::Object(_)) => {
+                for (k, v) in fields {
+                    assert_carried(v, &decoded[k.as_str()], &format!("{path}.{k}"));
+                }
+            }
+            (Value::Array(items), Value::Array(back)) => {
+                assert_eq!(items.len(), back.len(), "{path}");
+                for (i, (v, b)) in items.iter().zip(back).enumerate() {
+                    assert_carried(v, b, &format!("{path}[{i}]"));
+                }
+            }
+            _ => assert_eq!(file.render(), decoded.render(), "{path}"),
+        }
+    }
+
+    #[test]
+    fn checked_in_baseline_reports_load() {
+        // The table1 baseline goldens predate the solver counters,
+        // diagnosis, latency and utilization fields: they must load
+        // with every value they carry and defaults for the rest.
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../bench/golden/table1");
+        let reports = RunReport::load_dir_strict(&dir).unwrap();
+        assert_eq!(reports.len(), 4);
+        for (path, r) in json_files(&dir).unwrap().iter().zip(&reports) {
+            let file: Value =
+                serde_json::from_str(&std::fs::read_to_string(path).unwrap()).unwrap();
+            assert_carried(&file, &r.to_value(), &path.display().to_string());
+            let snapshot = r.snapshot.expect("goldens carry counters");
+            assert_eq!(snapshot.solver_assumption_solves, 0);
+            assert_eq!(snapshot.solver_warm_pivots_saved, 0);
+            assert_eq!(r.diagnosis, None);
+            assert_eq!(r.spans_dropped, 0);
+            assert!(r.latency.is_empty());
+            assert_eq!(r.utilization, None);
+            assert!(r.succeeded() && !r.events.is_empty());
+        }
     }
 
     #[test]

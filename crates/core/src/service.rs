@@ -50,7 +50,7 @@ use crate::servemetrics::{render_prometheus, ServiceMetrics};
 use crate::telemetry::Telemetry;
 use crate::validate::validate;
 use cgra_arch::{PeId, TopologyCache};
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -298,8 +298,7 @@ impl ResultCache {
     fn load_spilled(&self, key: &CacheKey) -> Option<MapOutcome> {
         let path = self.spill_path(key)?;
         let text = std::fs::read_to_string(path).ok()?;
-        let value: serde::Value = serde_json::from_str(&text).ok()?;
-        MapOutcome::from_json(&value).ok()
+        serde_json::from_value(serde_json::from_str(&text).ok()?).ok()
     }
 
     /// Insert an outcome, evicting (and spilling) the least recently
@@ -622,7 +621,11 @@ impl InFlight {
 /// counter is monotone across scrapes. (A request is classified when
 /// its cache probe resolves: hit, coalesced onto an in-flight solve —
 /// also a hit, plus `coalesced` — or miss.)
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+///
+/// On the wire the original seven counters are required; the fields
+/// added with the telemetry layer default to 0, so a new client still
+/// reads an old server's snapshot.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ServiceStats {
     pub requests: u64,
     pub hits: u64,
@@ -631,25 +634,33 @@ pub struct ServiceStats {
     pub warm: u64,
     /// Hits answered by joining an identical in-flight solve
     /// (single-flight dedup); a subset of `hits`.
+    #[serde(default)]
     pub coalesced: u64,
     /// Entries evicted from the in-memory result cache.
+    #[serde(default)]
     pub evictions: u64,
     /// Evicted entries persisted to the spill directory.
+    #[serde(default)]
     pub disk_spills: u64,
     /// Solves that returned the typed `Cancelled` outcome.
+    #[serde(default)]
     pub cancellations: u64,
     /// Requests shed because the admission queue was at `max_queue`.
+    #[serde(default)]
     pub rejections: u64,
     pub cache_entries: u64,
     pub pooled_states: u64,
     /// Solves holding an admission permit right now (gauge).
     pub running: u64,
     /// Requests anywhere inside `handle` right now (gauge).
+    #[serde(default)]
     pub in_flight: u64,
     /// Solves parked on the admission gate right now (gauge).
+    #[serde(default)]
     pub queue_depth: u64,
     /// The admission-permit budget; `running / cores` is worker
     /// utilization.
+    #[serde(default)]
     pub cores: u64,
 }
 
@@ -1124,6 +1135,34 @@ mod tests {
         // Re-admitting the revived entry pushed a fresh victim out.
         assert_eq!(cache.evictions(), 2);
         assert_eq!(cache.disk_spills(), 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn spilled_race_outcome_reloads_losslessly() {
+        // A disk hit must answer exactly what the in-memory hit did:
+        // race rows, stats, events, latency and utilization included.
+        let dir = std::env::temp_dir().join(format!("cgra-race-spill-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = ResultCache::new(1, Some(dir.clone()));
+        let race = MapRequest {
+            mode: ExecMode::Race,
+            ..named(0, "dot_product", "modulo-list")
+        };
+        let env = ExecEnv {
+            collect: true,
+            ..ExecEnv::default()
+        };
+        let out = execute(&race, &env);
+        assert!(!out.race.is_empty() && out.utilization.is_some() && out.stats.is_some());
+        cache.insert(race.cache_key(), Arc::new(out.clone()));
+        let other = named(1, "accumulate", "modulo-list");
+        let other_out = execute(&other, &ExecEnv::default());
+        cache.insert(other.cache_key(), Arc::new(other_out));
+        assert_eq!(cache.disk_spills(), 1, "cap 1 evicts the race outcome");
+        let reloaded = cache.get(&race.cache_key()).expect("spilled entry reloads");
+        assert_eq!(cache.spill_loads(), 1);
+        assert_eq!(reloaded.to_value().render(), out.to_value().render());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -5,7 +5,7 @@
 //! returns the typed `Cancelled` outcome within the engine's latency
 //! bound — without poisoning the cache for the next client.
 
-use cgra::mapper::request::{CacheStatus, KernelSpec, MapOutcome, MapRequest};
+use cgra::mapper::request::{CacheStatus, ExecMode, KernelSpec, MapOutcome, MapRequest};
 use cgra::mapper::MapError;
 use cgra::serve::{Client, ServeOptions, Server};
 use std::collections::{HashMap, HashSet};
@@ -228,6 +228,21 @@ fn replayed_workloads_drive_the_hit_rate_monotonically_up() {
     }
     // 1 cold round + 3 replayed rounds = 75% overall.
     assert!(last_rate >= 0.5, "final hit rate {last_rate:.3}");
+}
+
+#[test]
+fn race_outcomes_keep_their_rows_over_the_wire() {
+    let server = Server::bind("127.0.0.1:0", ServeOptions::default()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let mut req = request(1, "dot_product", "modulo-list");
+    req.mode = ExecMode::Race;
+    let out = client.map(&req).unwrap();
+    assert!(out.succeeded(), "race failed: {:?}", out.error);
+    assert!(!out.race.is_empty(), "race rows lost in the client decode");
+    assert!(out.race.iter().any(|e| e.mapper == out.mapper));
+    assert!(out.race_wall_ms > 0.0);
+    assert!(out.utilization.is_some());
+    client.shutdown().unwrap();
 }
 
 #[test]
